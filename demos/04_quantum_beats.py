@@ -20,11 +20,11 @@ proj_i = bp.Projector.normalized(0.7 + 0.57j, 0.41j)
 r, phi = bp.beat_params(ket_x, ket_y, proj_s, proj_i)
 print(f"projected beat parameters: R = {r:.4f}, phi = {phi:.4f} rad")
 
-# Searching analyzer settings that realize a target (R, phi): the damped
+# Solving for analyzer settings that realize a target (R, phi): the damped
 # regime suppresses the second path almost entirely.
-search = bp.find_beat_projectors(ket_x, ket_y, 2.86e-2, math.pi)
-print(f"damped regime attainable: {search.attainable} "
-      f"(reached R = {search.r:.4f}, phi = {search.phi:.4f})")
+solved = bp.find_beat_projectors(ket_x, ket_y, 2.86e-2, math.pi)
+print(f"damped regime attainable: {solved.attainable} "
+      f"(reached R = {solved.r:.4f}, phi = {solved.phi:.4f})")
 
 # The interference term oscillates with the 3.76 ns beat period and decays
 # with the combined coherence time of the two paths.

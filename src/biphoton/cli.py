@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__, entanglement, polstate, timecorr, tomography
 from .angmom import PATH_X, PATH_Y, CascadeLevels
@@ -127,15 +127,6 @@ def _parse_projector(spec: str) -> Projector:
     return Projector.normalized(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
 
 
-def _pure_metrics(ket: BiphotonKet) -> dict:
-    rho = polstate.density_from_ket(ket)
-    return {
-        "purity": entanglement.purity(rho),
-        "concurrence": entanglement.concurrence(rho),
-        "entanglement_of_formation": entanglement.entanglement_of_formation(rho),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -154,7 +145,7 @@ def _cmd_predict(args) -> int:
         },
         "ket_circular": polstate.ket_to_dict(ket),
         "ket_linear": polstate.ket_to_dict(polstate.change_basis(ket, polstate.LINEAR)),
-        "metrics": _pure_metrics(ket),
+        "metrics": entanglement.indicators(polstate.density_from_ket(ket)),
     }
     _emit_json(payload, args.out)
     return 0
@@ -206,13 +197,7 @@ def _cmd_reconstruct(args) -> int:
         payload["log_likelihood"] = result.log_likelihood
         payload["iterations"] = result.iterations
 
-    metrics = {
-        "purity": entanglement.purity(rho),
-        "concurrence": entanglement.concurrence(rho),
-        "entanglement_of_formation": entanglement.entanglement_of_formation(rho),
-    }
-    if target is not None:
-        metrics["fidelity"] = entanglement.fidelity(rho, target)
+    metrics = entanglement.indicators(rho, target)
 
     if args.resamples:
         stats = tomography.resample_uncertainties(
@@ -251,6 +236,8 @@ def _cmd_resample(args) -> int:
 
 def _model_from_args(args):
     if args.preset:
+        if args.model is not None:
+            raise ValueError("--model cannot be combined with --preset")
         preset = timecorr.FIGURE_PRESETS[args.preset]
         model = preset.model
         bin_width = args.bin_width if args.bin_width is not None else preset.bin_width
@@ -295,8 +282,8 @@ def _cmd_fit_g2(args) -> int:
         raise ValueError("specify --preset or --model")
 
     if model_kind == "single":
-        if preset_model is not None and args.g0 is None:
-            init = preset_model
+        if preset_model is not None:
+            init = preset_model if args.g0 is None else replace(preset_model, g0=args.g0)
         elif args.g0 is not None:
             init = timecorr.SinglePathParams(
                 g0=args.g0, tau_rise=args.tau_rise, tau_decay=args.tau_decay,
@@ -336,14 +323,11 @@ def _cmd_beat_params(args) -> int:
             raise ValueError("--r and --phi must be given together")
         if args.r < 0:
             raise ValueError("--r must be non-negative")
-        phi = math.remainder(args.phi, 2.0 * math.pi)
-        if phi <= -math.pi:
-            phi += 2.0 * math.pi
         payload = {
             "meta": _meta(args, None, []),
             "source": "user",
             "r": args.r,
-            "phi": phi,
+            "phi": polstate._wrap_phase(args.phi),
         }
         _emit_json(payload, args.out)
         return 0

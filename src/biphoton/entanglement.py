@@ -18,6 +18,7 @@ __all__ = [
     "entanglement_of_formation",
     "eof_from_concurrence",
     "fidelity",
+    "indicators",
     "purity",
 ]
 
@@ -89,3 +90,16 @@ def fidelity(rho: DensityMatrix4, target: BiphotonKet) -> float:
     v = change_basis(target, rho.basis).amplitudes
     f = float((v.conj() @ rho.matrix @ v).real)
     return min(1.0, max(0.0, f))
+
+
+def indicators(rho: DensityMatrix4, target: BiphotonKet | None = None) -> dict[str, float]:
+    """Purity, concurrence and entanglement of formation by name, plus the
+    fidelity to ``target`` when one is given."""
+    out = {
+        "purity": purity(rho),
+        "concurrence": concurrence(rho),
+        "entanglement_of_formation": entanglement_of_formation(rho),
+    }
+    if target is not None:
+        out["fidelity"] = fidelity(rho, target)
+    return out

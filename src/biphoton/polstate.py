@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .angmom import CascadeLevels, path_coupling_x
 
@@ -310,7 +309,7 @@ def beat_params(
 
 @dataclass(frozen=True)
 class BeatProjectorSearch:
-    """Outcome of a search for projectors realizing target beat parameters."""
+    """Analyzer pair solved for target beat parameters, and what it reaches."""
 
     attainable: bool
     proj_s: Projector
@@ -320,67 +319,69 @@ class BeatProjectorSearch:
     residual: float
 
 
-def _projector_from_angles(theta: float, chi: float) -> Projector:
-    return Projector(
-        complex(math.cos(theta)), cmath.exp(1j * chi) * math.sin(theta)
-    )
+# Largest residual (log-amplitude and phase combined) reported as attainable.
+_ATTAINABLE_RESIDUAL = 1e-9
+# Reference amplitudes this small are rounding noise, not a usable solution.
+_NOISE_AMPLITUDE = 1e-12
+
+
+def _beat_residual(r: float, phi: float, target_r: float, target_phi: float) -> float:
+    if target_r == 0.0:
+        return r
+    if r == 0.0:
+        return math.inf
+    return math.hypot(math.log(r / target_r), _wrap_phase(phi - target_phi))
 
 
 def find_beat_projectors(
-    ket_x: BiphotonKet,
-    ket_y: BiphotonKet,
-    target_r: float,
-    target_phi: float,
-    *,
-    tol: float = 1e-6,
+    ket_x: BiphotonKet, ket_y: BiphotonKet, target_r: float, target_phi: float
 ) -> BeatProjectorSearch:
-    """Search analyzer settings that realize given beat parameters (R, phi).
+    """Solve for analyzer settings that realize given beat parameters (R, phi).
 
-    Runs deterministic local minimizations from a fixed grid of starting
-    angles; reports the best projector pair found and whether it reaches the
-    target within ``tol`` (log-amplitude and phase residual combined).
+    With one analyzer fixed, each path amplitude is linear in the other:
+    A_k = <s|u_k> with u_k = M_k conj(i), M_k the linear-basis amplitude
+    matrix of ket k.  A_y / A_x = w = R e^{i phi} holds exactly when s is
+    orthogonal to u_y - w u_x.  Each of H, V, D, A, L, R is tried as the
+    fixed idler and, on the transposed problem, as the fixed signal
+    analyzer; the pair with the largest reference amplitude |A_x| wins.
+    When no pair has a usable reference amplitude (the ratio is pinned, as
+    for identical paths), the pair maximizing |A_x| is returned and the
+    target is reported unattainable unless that pinned ratio is the target.
     """
-    if target_r < 0:
-        raise ValueError("target_r must be non-negative")
+    if not (math.isfinite(target_r) and target_r >= 0):
+        raise ValueError("target_r must be finite and non-negative")
+    if not math.isfinite(target_phi):
+        raise ValueError("target_phi must be finite")
     target_phi = _wrap_phase(target_phi)
+    w = cmath.rect(target_r, target_phi)
+    m_x = change_basis(ket_x, LINEAR).amplitudes.reshape(2, 2)
+    m_y = change_basis(ket_y, LINEAR).amplitudes.reshape(2, 2)
 
-    def objective(angles: np.ndarray) -> float:
-        ps = _projector_from_angles(angles[0], angles[1])
-        pi_ = _projector_from_angles(angles[2], angles[3])
-        try:
-            r, phi = beat_params(ket_x, ket_y, ps, pi_)
-        except ProjectionDegeneracyError:
-            return 1e6
-        if target_r == 0.0:
-            return r**2
-        if r == 0.0:
-            return 1e6
-        dlog = math.log(r / target_r)
-        dphi = _wrap_phase(phi - target_phi)
-        return dlog**2 + dphi**2
-
-    starts = [
-        np.array([t_s, c_s, t_i, c_i])
-        for t_s in (0.3, 0.9, 1.4)
-        for c_s in (0.0, 1.8)
-        for t_i in (0.3, 0.9, 1.4)
-        for c_i in (0.0, 1.8)
-    ]
-    best = None
-    for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-    ps = _projector_from_angles(best.x[0], best.x[1])
-    pi_ = _projector_from_angles(best.x[2], best.x[3])
-    try:
-        r, phi = beat_params(ket_x, ket_y, ps, pi_)
-    except ProjectionDegeneracyError:
-        r, phi = math.inf, 0.0
-    residual = math.sqrt(max(best.fun, 0.0))
+    names = list(_NAMED_PROJECTORS)
+    fixed = np.array(list(_NAMED_PROJECTORS.values()), dtype=complex).conj()
+    # Rows 0-5: u_k = M_k conj(idler) for each named idler; rows 6-11: the
+    # transposed problem M_k^T conj(signal), needed when u_y || u_x for every
+    # idler (product states sharing a signal factor).
+    u_x = np.concatenate([fixed @ m_x.T, fixed @ m_x])
+    v = np.concatenate([fixed @ m_y.T, fixed @ m_y]) - w * u_x
+    # The solved analyzer p has conj(p) = (v1, -v0) / |v|, so <p|v> = 0 and
+    # its reference amplitude is |A_x| = |<p|u_x>| = |v1 u0 - v0 u1| / |v|.
+    norms = np.linalg.norm(v, axis=1)
+    amps = np.abs(v[:, 1] * u_x[:, 0] - v[:, 0] * u_x[:, 1])
+    amps /= np.where(norms > 0, norms, np.inf)
+    k = int(np.argmax(amps))
+    if amps[k] > _NOISE_AMPLITUDE:
+        solved = Projector.normalized(v[k, 1].conjugate(), -v[k, 0].conjugate())
+        named = named_projector(names[k % 6])
+        proj_s, proj_i = (solved, named) if k < 6 else (named, solved)
+    else:
+        left, _, right_h = np.linalg.svd(m_x)
+        proj_s, proj_i = Projector.normalized(*left[:, 0]), Projector.normalized(*right_h[0])
+    r, phi = beat_params(ket_x, ket_y, proj_s, proj_i)
+    residual = _beat_residual(r, phi, target_r, target_phi)
     return BeatProjectorSearch(
-        attainable=residual < tol, proj_s=ps, proj_i=pi_, r=r, phi=phi, residual=residual
+        attainable=residual <= _ATTAINABLE_RESIDUAL,
+        proj_s=proj_s, proj_i=proj_i, r=r, phi=phi, residual=residual,
     )
 
 

@@ -578,9 +578,12 @@ def read_histogram_csv(path) -> CoincidenceHistogram:
             if raw is None or raw == "":
                 raise HistogramFileError(lineno, name, "missing value")
             try:
-                dest.append(float(raw))
+                value = float(raw)
             except ValueError:
                 raise HistogramFileError(lineno, name, f"not a number: {raw!r}")
+            if not math.isfinite(value):
+                raise HistogramFileError(lineno, name, f"not a finite number: {raw!r}")
+            dest.append(value)
         if counts[-1] < 0:
             raise HistogramFileError(lineno, "counts", "must be non-negative")
     if len(starts) < 2:

@@ -11,6 +11,7 @@ proj_i_h_im,proj_i_v_re,proj_i_v_im,counts,exposure``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -371,8 +372,10 @@ def reconstruct_mle(
     lower-triangular T (16 real parameters) and ascended deterministically
     (L-BFGS with analytic gradients) from the linear-inversion seed.  The
     ascent counts as converged when the gradient max-norm falls below 1e-8
-    or the remaining steps are below machine resolution; hitting the
-    iteration cap raises :class:`ConvergenceError` carrying the best iterate.
+    or the remaining steps are below machine resolution; any other stop (the
+    iteration cap, a failed line search) raises :class:`ConvergenceError`
+    carrying the best iterate, with the solver's status, message, iteration
+    count and final gradient max-norm in its message.
     """
     if len(records) < 16:
         raise SpanError("at least 16 records are required")
@@ -407,25 +410,12 @@ def reconstruct_mle(
     step_converged = res.status == 0  # ftol at machine resolution: steps stalled
     if grad_max >= 1e-8 and not step_converged:
         raise ConvergenceError(
-            f"MLE did not converge in {max_iterations} iterations "
-            f"(gradient max-norm {grad_max:.3g})",
+            f"MLE did not converge: L-BFGS-B stopped with status {res.status} "
+            f"({str(res.message).rstrip(': ')}) after {res.nit} iterations, "
+            f"gradient max-norm {grad_max:.3g}",
             best=result,
         )
     return result
-
-
-_METRIC_NAMES = ("purity", "concurrence", "entanglement_of_formation", "fidelity")
-
-
-def _metrics_of(rho: DensityMatrix4, target: BiphotonKet | None) -> dict[str, float]:
-    out = {
-        "purity": entanglement.purity(rho),
-        "concurrence": entanglement.concurrence(rho),
-        "entanglement_of_formation": entanglement.entanglement_of_formation(rho),
-    }
-    if target is not None:
-        out["fidelity"] = entanglement.fidelity(rho, target)
-    return out
 
 
 def _resample_once(
@@ -458,7 +448,7 @@ def resample_uncertainties(
     samples: dict[str, list[float]] = {}
     for child in children:
         result = reconstruct_mle(_resample_once(records, child))
-        for name, value in _metrics_of(result.rho, target).items():
+        for name, value in entanglement.indicators(result.rho, target).items():
             samples.setdefault(name, []).append(value)
     return {
         name: MetricStats(
@@ -509,9 +499,12 @@ def _parse_field(row: dict, name: str, line: int) -> float:
     if raw is None or raw == "":
         raise CountsFileError(line, name, "missing value")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise CountsFileError(line, name, f"not a number: {raw!r}")
+    if not math.isfinite(value):
+        raise CountsFileError(line, name, f"not a finite number: {raw!r}")
+    return value
 
 
 def read_counts_csv(path) -> list[CountsRecord]:

@@ -203,6 +203,32 @@ class TestG2Pipeline:
                            str(tmp_path / "h.csv"))
         assert code == 1
 
+    def test_model_with_preset_rejected(self, capsys, tmp_path):
+        out = tmp_path / "h.csv"
+        code, _, err = run(capsys, "simulate-g2", "--preset", "fig3", "--model",
+                           "single", "--seed", "5", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "--model" in err
+        assert not out.exists()
+
+    def test_preset_g0_keeps_preset_starting_point(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-g2", "--preset", "fig2y", "--seed", "6",
+            "--out", "hist.csv")
+        seen = {}
+        fit_single = bp.timecorr.fit_single
+
+        def spy(hist, init, **kwargs):
+            seen["init"] = init
+            return fit_single(hist, init, **kwargs)
+
+        monkeypatch.setattr(bp.timecorr, "fit_single", spy)
+        run_json(capsys, "fit-g2", "--hist", "hist.csv", "--preset", "fig2y",
+                 "--g0", "1500")
+        init = seen["init"]
+        assert init.g0 == 1500.0
+        assert (init.tau_rise, init.tau_decay, init.background) == (3.3, 13.1, 10.0)
+
 
 class TestBeatParamsCommand:
     def test_user_supplied_passthrough(self, capsys):

@@ -281,7 +281,7 @@ class TestBeatProjectorSearch:
         [(2.86e-2, math.pi), (1.43, 0.0), (0.5, math.pi)],
     )
     def test_published_regimes_attainable(self, ket_x, ket_y, target_r, target_phi):
-        result = find_beat_projectors(ket_x, ket_y, target_r, target_phi, tol=1e-5)
+        result = find_beat_projectors(ket_x, ket_y, target_r, target_phi)
         assert result.attainable
         assert result.r == pytest.approx(target_r, rel=1e-3)
         assert math.remainder(result.phi - target_phi, 2 * math.pi) == pytest.approx(
@@ -293,6 +293,48 @@ class TestBeatProjectorSearch:
         result = find_beat_projectors(ket_x, ket_x, 3.0, 0.0)
         assert not result.attainable
         assert result.r == pytest.approx(1.0, abs=1e-9)
+
+    def test_random_pairs_and_targets_reached_exactly(self):
+        rng = np.random.default_rng(1505)
+
+        def qubit():
+            return rng.normal(size=2) + 1j * rng.normal(size=2)
+
+        def product(signal, idler):
+            return BiphotonKet.normalized(np.kron(signal, idler), LINEAR)
+
+        for case in range(1002):
+            kind = ("entangled", "shared signal", "shared idler")[case % 3]
+            if kind == "entangled":
+                kx, ky = random_pure_ket(rng), random_pure_ket(rng)
+            elif kind == "shared signal":
+                s = qubit()
+                kx, ky = product(s, qubit()), product(s, qubit())
+            else:
+                i = qubit()
+                kx, ky = product(qubit(), i), product(qubit(), i)
+            target_r = float(np.exp(rng.uniform(-5.0, 5.0)))
+            target_phi = float(rng.uniform(-math.pi, math.pi))
+            result = find_beat_projectors(kx, ky, target_r, target_phi)
+            assert result.attainable, (kind, target_r, target_phi, result)
+            r, phi = beat_params(kx, ky, result.proj_s, result.proj_i)
+            assert r == pytest.approx(target_r, rel=1e-9), kind
+            assert abs(math.remainder(phi - target_phi, 2 * math.pi)) < 1e-9, kind
+
+    @pytest.mark.parametrize("target_r", [0.0, 0.5, 3.0])
+    def test_identical_random_kets_pinned_to_unit_ratio(self, target_r):
+        rng = np.random.default_rng(int(10 * target_r))
+        for _ in range(20):
+            ket = random_pure_ket(rng)
+            result = find_beat_projectors(ket, ket, target_r, float(rng.uniform(-3, 3)))
+            assert not result.attainable
+            assert result.r == pytest.approx(1.0, abs=1e-12)
+        assert find_beat_projectors(ket, ket, 1.0, 0.0).attainable
+
+    @pytest.mark.parametrize("target_r,target_phi", [(-0.1, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+    def test_invalid_target_rejected(self, ket_x, ket_y, target_r, target_phi):
+        with pytest.raises(ValueError):
+            find_beat_projectors(ket_x, ket_y, target_r, target_phi)
 
 
 class TestJsonInterchange:

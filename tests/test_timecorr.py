@@ -397,6 +397,15 @@ class TestHistogramCsv:
         assert err.value.line == 3
         assert err.value.fieldname == "counts"
 
+    @pytest.mark.parametrize("row,field", [("1.0,inf", "counts"), ("-inf,6", "bin_start_ns")])
+    def test_non_finite_value_names_line_and_field(self, tmp_path, row, field):
+        path = tmp_path / "hist.csv"
+        path.write_text(f"bin_start_ns,counts\n0.0,5\n{row}\n2.0,7\n")
+        with pytest.raises(HistogramFileError) as err:
+            read_histogram_csv(path)
+        assert err.value.line == 3
+        assert err.value.fieldname == field
+
     def test_nonuniform_bins_rejected(self, tmp_path):
         path = tmp_path / "hist.csv"
         path.write_text("bin_start_ns,counts\n0.0,5\n1.0,6\n3.0,7\n")

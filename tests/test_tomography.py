@@ -16,6 +16,7 @@ from biphoton.polstate import (
     min_eigenvalue,
 )
 from biphoton.tomography import (
+    ConvergenceError,
     CountsFileError,
     CountsRecord,
     DegenerateCountsError,
@@ -262,6 +263,21 @@ class TestReconstructMLE:
         )
         assert fid >= 0.999
 
+    def test_convergence_error_reports_solver_stop(self, rho_x):
+        # A dataset on which L-BFGS-B stops in its line search long before
+        # the iteration cap: the message must say so, not blame the cap.
+        settings = standard_settings("overcomplete36")
+        probs = np.array([expected_probability(rho_x, s) for s in settings])
+        counts = np.random.default_rng(1034).poisson(1e5 * probs)
+        records = [CountsRecord(s, int(n)) for s, n in zip(settings, counts)]
+        with pytest.raises(ConvergenceError) as err:
+            reconstruct_mle(records)
+        message = str(err.value)
+        assert "10000" not in message
+        assert "status 2 (ABNORMAL" in message
+        assert f"after {err.value.best.iterations} iterations" in message
+        assert "gradient max-norm" in message
+
     def test_fidelity_improves_with_counts(self, ket_x, rho_x):
         settings = standard_settings("overcomplete36")
         means = []
@@ -342,6 +358,20 @@ class TestCountsCsv:
         with pytest.raises(CountsFileError) as err:
             read_counts_csv(path)
         assert err.value.line == 4
+        assert err.value.fieldname == "counts"
+
+    def test_nan_counts_names_line_and_field(self, rho_x, tmp_path):
+        records = simulate_counts(rho_x, standard_settings("minimal16"), 1e3, 31)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(records, path)
+        lines = path.read_text().splitlines()
+        parts = lines[5].split(",")
+        parts[-2] = "nan"
+        lines[5] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CountsFileError) as err:
+            read_counts_csv(path)
+        assert err.value.line == 6
         assert err.value.fieldname == "counts"
 
     def test_wrong_header_rejected(self, tmp_path):
