@@ -234,6 +234,14 @@ def _cmd_resample(args) -> int:
     return 0
 
 
+# simulate-g2 parameters without --preset; a model flag replaces its field.
+_SIMULATE_MODELS = {
+    "single": timecorr.SinglePathParams(g0=1000.0, tau_rise=3.1, tau_decay=5.6),
+    "beats": timecorr.BeatModelParams(g0=1000.0, tau_x=5.6, tau_y=13.1, r=1.0, phi=0.0),
+}
+_MODEL_FLAGS = ("g0", "tau_rise", "tau_decay", "tau_x", "tau_y", "r", "phi", "delta", "background")
+
+
 def _model_from_args(args):
     if args.preset:
         if args.model is not None:
@@ -243,22 +251,19 @@ def _model_from_args(args):
         bin_width = args.bin_width if args.bin_width is not None else preset.bin_width
         t_min = args.t_min if args.t_min is not None else preset.t_range[0]
         t_max = args.t_max if args.t_max is not None else preset.t_range[1]
-        return model, bin_width, (t_min, t_max)
-    if args.model is None:
+    elif args.model is None:
         raise ValueError("specify --preset or --model")
-    if args.bin_width is None or args.t_min is None or args.t_max is None:
+    elif args.bin_width is None or args.t_min is None or args.t_max is None:
         raise ValueError("--bin-width, --t-min and --t-max are required without --preset")
-    if args.model == "single":
-        model = timecorr.SinglePathParams(
-            g0=args.g0, tau_rise=args.tau_rise, tau_decay=args.tau_decay,
-            background=args.background,
-        )
     else:
-        model = timecorr.BeatModelParams(
-            g0=args.g0, tau_x=args.tau_x, tau_y=args.tau_y, r=args.r,
-            phi=args.phi, delta=args.delta, background=args.background,
-        )
-    return model, args.bin_width, (args.t_min, args.t_max)
+        model = _SIMULATE_MODELS[args.model]
+        bin_width, t_min, t_max = args.bin_width, args.t_min, args.t_max
+    given = {name: getattr(args, name) for name in _MODEL_FLAGS if getattr(args, name) is not None}
+    for name in given:
+        if name not in model.__dataclass_fields__:
+            raise ValueError(f"--{name.replace('_', '-')} is not a parameter of the "
+                             f"{type(model).__name__} model")
+    return replace(model, **given), bin_width, (t_min, t_max)
 
 
 def _cmd_simulate_g2(args) -> int:
@@ -421,16 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(timecorr.FIGURE_PRESETS),
                    help="published-figure parameter bundle")
     p.add_argument("--model", choices=("single", "beats"))
-    p.add_argument("--g0", type=float, default=1000.0)
-    p.add_argument("--tau-rise", type=float, default=3.1)
-    p.add_argument("--tau-decay", type=float, default=5.6)
-    p.add_argument("--tau-x", type=float, default=5.6)
-    p.add_argument("--tau-y", type=float, default=13.1)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=timecorr.DEFAULT_DELTA,
-                   help="beat angular frequency in rad/ns")
-    p.add_argument("--background", type=float, default=0.0)
+    for flag in _MODEL_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), type=float,
+                       help="model parameter (times in ns, delta in rad/ns); "
+                            "replaces the preset's or the default value")
     p.add_argument("--bin-width", type=float, help="bin width in ns")
     p.add_argument("--t-min", type=float)
     p.add_argument("--t-max", type=float)

@@ -15,13 +15,12 @@ converged, iterations}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
+
+from .csvio import FileFormatError, format_number, parse_float, read_csv, write_csv
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -31,7 +30,6 @@ __all__ = [
     "FitConvergenceError",
     "FitDegenerateError",
     "FitResult",
-    "HistogramFileError",
     "HistogramPreset",
     "SinglePathParams",
     "beat_contrast",
@@ -62,15 +60,6 @@ class FitConvergenceError(RuntimeError):
     def __init__(self, message: str, best: "FitResult"):
         super().__init__(message)
         self.best = best
-
-
-class HistogramFileError(ValueError):
-    """A histogram CSV violated the format; names the offending line and field."""
-
-    def __init__(self, line: int, fieldname: str, message: str):
-        super().__init__(f"line {line}, field {fieldname!r}: {message}")
-        self.line = line
-        self.fieldname = fieldname
 
 
 @dataclass(frozen=True)
@@ -360,6 +349,8 @@ def _covariance(jac: np.ndarray) -> np.ndarray:
 
 
 def _run_least_squares(residual_fn, x0: np.ndarray):
+    from scipy.optimize import least_squares
+
     res = least_squares(
         residual_fn, x0, method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12,
         max_nfev=20_000,
@@ -551,46 +542,28 @@ def fit_beats(
 # ---------------------------------------------------------------------------
 # Histogram CSV interchange
 
+_CSV_FIELDS = ["bin_start_ns", "counts"]
+
+
 def write_histogram_csv(hist: CoincidenceHistogram, path, *, comments: list[str] | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start_ns", "counts"])
-        for start, count in zip(hist.bin_starts, hist.counts):
-            count_repr = str(int(count)) if float(count).is_integer() else repr(float(count))
-            writer.writerow([repr(float(start)), count_repr])
+    rows = ([repr(float(start)), format_number(count)] for start, count in zip(hist.bin_starts, hist.counts))
+    write_csv(path, _CSV_FIELDS, rows, comments)
 
 
 def read_histogram_csv(path) -> CoincidenceHistogram:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.lstrip().startswith("#")]
-    if not lines:
-        raise HistogramFileError(1, "header", "file is empty")
-    reader = csv.DictReader(lines)
-    if reader.fieldnames != ["bin_start_ns", "counts"]:
-        raise HistogramFileError(1, "header", "expected columns bin_start_ns,counts")
+    rows = read_csv(path, _CSV_FIELDS)
     starts, counts = [], []
-    for lineno, row in enumerate(reader, start=2):
-        for name, dest in (("bin_start_ns", starts), ("counts", counts)):
-            raw = row.get(name)
-            if raw is None or raw == "":
-                raise HistogramFileError(lineno, name, "missing value")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise HistogramFileError(lineno, name, f"not a number: {raw!r}")
-            if not math.isfinite(value):
-                raise HistogramFileError(lineno, name, f"not a finite number: {raw!r}")
-            dest.append(value)
+    for lineno, row in rows:
+        starts.append(parse_float(row, "bin_start_ns", lineno))
+        counts.append(parse_float(row, "counts", lineno))
         if counts[-1] < 0:
-            raise HistogramFileError(lineno, "counts", "must be non-negative")
+            raise FileFormatError(lineno, "counts", "must be non-negative")
     if len(starts) < 2:
-        raise HistogramFileError(2, "bin_start_ns", "need at least 2 bins")
+        raise FileFormatError(rows[0][0], "bin_start_ns", "need at least 2 bins")
     widths = np.diff(starts)
-    if np.any(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0])):
-        raise HistogramFileError(2, "bin_start_ns", "bins must be uniformly spaced")
+    uneven = np.flatnonzero(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0]))
+    if uneven.size:
+        raise FileFormatError(rows[uneven[0] + 1][0], "bin_start_ns", "bins must be uniformly spaced")
     return CoincidenceHistogram(float(widths[0]), float(starts[0]), np.array(counts))
 
 

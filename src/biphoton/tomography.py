@@ -10,26 +10,23 @@ proj_i_h_im,proj_i_v_re,proj_i_v_im,counts,exposure``.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import entanglement
+from .csvio import FileFormatError, format_number, parse_float, read_csv, write_csv
 from .polstate import (
     LINEAR,
     BiphotonKet,
     DensityMatrix4,
     Projector,
+    density_change_basis,
     named_projector,
 )
 
 __all__ = [
     "ConvergenceError",
-    "CountsFileError",
     "CountsRecord",
     "DegenerateCountsError",
     "MeasurementSetting",
@@ -37,6 +34,7 @@ __all__ = [
     "SpanError",
     "TomographyResult",
     "UnphysicalStateError",
+    "expected_probabilities",
     "expected_probability",
     "log_likelihood",
     "read_counts_csv",
@@ -67,15 +65,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, best: "TomographyResult"):
         super().__init__(message)
         self.best = best
-
-
-class CountsFileError(ValueError):
-    """A counts CSV violated the format; names the offending line and field."""
-
-    def __init__(self, line: int, fieldname: str, message: str):
-        super().__init__(f"line {line}, field {fieldname!r}: {message}")
-        self.line = line
-        self.fieldname = fieldname
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,6 @@ class TomographyResult:
     rho: DensityMatrix4
     log_likelihood: float
     iterations: int
-    resampled_metrics: dict[str, MetricStats] | None = None
 
 
 _MINIMAL16_LABELS = [
@@ -144,17 +132,37 @@ def standard_settings(kind: str = "overcomplete36") -> list[MeasurementSetting]:
     ]
 
 
-def _setting_vector(setting: MeasurementSetting) -> np.ndarray:
-    return np.kron(setting.proj_s.vector(LINEAR), setting.proj_i.vector(LINEAR))
+def _vectors(settings: list[MeasurementSetting]) -> np.ndarray:
+    """Linear-basis analyzer kets, one (n, 4) row per setting: signal (x) idler."""
+    sig = np.array([(s.proj_s.c_h, s.proj_s.c_v) for s in settings], dtype=complex).reshape(-1, 2)
+    idl = np.array([(s.proj_i.c_h, s.proj_i.c_v) for s in settings], dtype=complex).reshape(-1, 2)
+    return (sig[:, :, None] * idl[:, None, :]).reshape(-1, 4)
+
+
+def _arrays(records: list[CountsRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Analyzer kets, counts and exposures of the records."""
+    vectors = _vectors([rec.setting for rec in records])
+    counts = np.array([rec.counts for rec in records], dtype=float)
+    exposures = np.array([rec.exposure for rec in records], dtype=float)
+    return vectors, counts, exposures
+
+
+def _born(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    # One product per row: a batched contraction rounds differently, and a
+    # shift in the last place can move a Poisson draw.
+    return np.maximum([(v.conj() @ matrix @ v).real for v in vectors], 0.0)
+
+
+def expected_probabilities(
+    rho: DensityMatrix4, settings: list[MeasurementSetting]
+) -> np.ndarray:
+    """Born-rule coincidence probability of every setting, clipped at zero."""
+    return _born(density_change_basis(rho, LINEAR).matrix, _vectors(settings))
 
 
 def expected_probability(rho: DensityMatrix4, setting: MeasurementSetting) -> float:
-    """Born-rule coincidence probability of one setting, clipped at zero."""
-    from .polstate import density_change_basis
-
-    v = _setting_vector(setting)
-    p = float((v.conj() @ density_change_basis(rho, LINEAR).matrix @ v).real)
-    return max(0.0, p)
+    """Born-rule coincidence probability of one setting (see expected_probabilities)."""
+    return float(expected_probabilities(rho, [setting])[0])
 
 
 def simulate_counts(
@@ -170,62 +178,47 @@ def simulate_counts(
     """
     if n_per_setting <= 0:
         raise ValueError("n_per_setting must be positive")
+    mu = n_per_setting * expected_probabilities(rho, settings)
     children = np.random.SeedSequence(seed).spawn(len(settings))
-    records = []
-    for setting, child in zip(settings, children):
-        mu = n_per_setting * expected_probability(rho, setting)
-        counts = int(np.random.default_rng(child).poisson(mu))
-        records.append(CountsRecord(setting, counts, 1.0))
-    return records
+    return [
+        CountsRecord(setting, int(np.random.default_rng(child).poisson(m)), 1.0)
+        for setting, child, m in zip(settings, children, mu)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Linear inversion
 
-def _hermitian_basis() -> list[np.ndarray]:
-    basis = []
-    for i in range(4):
-        e = np.zeros((4, 4), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            e = np.zeros((4, 4), dtype=complex)
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            basis.append(e)
-            e = np.zeros((4, 4), dtype=complex)
-            e[i, j] = -1.0j
-            e[j, i] = 1.0j
-            basis.append(e)
-    return basis
+# Operator basis: E_aa for a = 0..3, then E_ab + E_ba and i(E_ba - E_ab) for
+# each pair a < b in this order.
+_PAIRS = np.triu_indices(4, 1)
 
 
-_HERM_BASIS = _hermitian_basis()
+def _design(vectors: np.ndarray) -> np.ndarray:
+    """<v|B|v> for every analyzer ket v (rows) and basis operator B (columns).
 
-
-def _design_matrix(records: list[CountsRecord]) -> np.ndarray:
-    rows = np.empty((len(records), 16))
-    for k, rec in enumerate(records):
-        v = _setting_vector(rec.setting)
-        rows[k] = [float((v.conj() @ b @ v).real) for b in _HERM_BASIS]
-    return rows
-
-
-def _check_span(design: np.ndarray) -> None:
+    Raises :class:`SpanError` unless the rows span all 16 operators.
+    """
+    a, b = _PAIRS
+    cross = vectors[:, a].conj() * vectors[:, b]
+    design = np.empty((len(vectors), 16))
+    design[:, :4] = vectors.real**2 + vectors.imag**2
+    design[:, 4::2] = 2.0 * cross.real
+    design[:, 5::2] = 2.0 * cross.imag
     if np.linalg.matrix_rank(design) < 16:
         raise SpanError(
             "measurement settings do not span the 16-dimensional operator space"
         )
+    return design
 
 
-def _linear_estimate(records: list[CountsRecord]) -> np.ndarray:
+def _linear_estimate(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Unnormalized least-squares operator estimate (flux times state)."""
-    design = _design_matrix(records)
-    _check_span(design)
-    y = np.array([rec.counts / rec.exposure for rec in records])
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    est = sum(c * b for c, b in zip(coeffs, _HERM_BASIS))
+    coeffs, *_ = np.linalg.lstsq(design, rates, rcond=None)
+    est = np.zeros((4, 4), dtype=complex)
+    est[np.diag_indices(4)] = coeffs[:4]
+    est[_PAIRS] = coeffs[4::2] - 1j * coeffs[5::2]
+    est[_PAIRS[::-1]] = coeffs[4::2] + 1j * coeffs[5::2]
     return 0.5 * (est + est.conj().T)
 
 
@@ -237,7 +230,8 @@ def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
     anything lower raises :class:`UnphysicalStateError` and calls for the
     maximum-likelihood estimator instead.
     """
-    est = _linear_estimate(records)
+    vectors, counts, exposures = _arrays(records)
+    est = _linear_estimate(_design(vectors), counts / exposures)
     trace = float(np.trace(est).real)
     if trace <= 0.0:
         raise UnphysicalStateError("estimated operator has non-positive trace")
@@ -255,24 +249,22 @@ def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
 
 _P_FLOOR = 1e-12
 # Lower-triangular parameter layout: 4 real diagonal entries, then the
-# complex sub-diagonal entries row by row.
-_TRIL_IDX = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+# real and imaginary parts of the sub-diagonal entries row by row.
+_TRIL = np.tril_indices(4, -1)
 
 
 def _t_matrix(params: np.ndarray) -> np.ndarray:
     t = np.zeros((4, 4), dtype=complex)
     t[np.diag_indices(4)] = params[:4]
-    for k, (i, j) in enumerate(_TRIL_IDX):
-        t[i, j] = params[4 + 2 * k] + 1j * params[5 + 2 * k]
+    t[_TRIL] = params[4::2] + 1j * params[5::2]
     return t
 
 
 def _params_from_t(t: np.ndarray) -> np.ndarray:
     params = np.empty(16)
     params[:4] = np.diagonal(t).real
-    for k, (i, j) in enumerate(_TRIL_IDX):
-        params[4 + 2 * k] = t[i, j].real
-        params[5 + 2 * k] = t[i, j].imag
+    params[4::2] = t[_TRIL].real
+    params[5::2] = t[_TRIL].imag
     return params
 
 
@@ -282,6 +274,17 @@ def _lower_t_factor(mat: np.ndarray) -> np.ndarray:
     chol = np.linalg.cholesky(mat[np.ix_(rev, rev)])
     upper = chol[np.ix_(rev, rev)]
     return upper.conj().T
+
+
+def _profiled(
+    p: np.ndarray, counts: np.ndarray, exposures: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """Poisson log-likelihood with the flux profiled out; also the flux and the means."""
+    p = p + _P_FLOOR
+    scale = float(counts.sum()) / float(np.dot(exposures, p))
+    mu = scale * exposures * p
+    pos = counts > 0
+    return float(np.sum(counts[pos] * np.log(mu[pos])) - mu.sum()), scale, mu
 
 
 def _likelihood_and_grad(
@@ -295,15 +298,7 @@ def _likelihood_and_grad(
     w = t @ vectors.T                      # (4, n) columns are T v_nu
     q = np.sum(np.abs(w) ** 2, axis=0)     # <v| T^dag T |v>
     trace = float(np.sum(np.abs(t) ** 2))
-    p = q / trace + _P_FLOOR
-
-    n_total = float(counts.sum())
-    denom = float(np.dot(exposures, p))
-    scale = n_total / denom                # profiled flux
-    mu = scale * exposures * p
-
-    pos = counts > 0
-    ll = float(np.sum(counts[pos] * np.log(mu[pos])) - mu.sum())
+    ll, scale, mu = _profiled(q / trace, counts, exposures)
 
     # dLL/dp_nu, with the profiled scale fixed (envelope theorem)
     dll_dp = (np.where(mu > 0, counts / np.where(mu > 0, mu, 1.0), 0.0) - 1.0) * (
@@ -316,11 +311,10 @@ def _likelihood_and_grad(
 
     grad = np.empty(16)
     diag = np.diagonal(m_complex)
+    z, t_low = m_complex[_TRIL], t[_TRIL]
     grad[:4] = 2.0 * diag.real - 2.0 * trace_coeff * params[:4]
-    for k, (i, j) in enumerate(_TRIL_IDX):
-        z = m_complex[i, j]
-        grad[4 + 2 * k] = 2.0 * z.real - 2.0 * trace_coeff * t[i, j].real
-        grad[5 + 2 * k] = -2.0 * z.imag - 2.0 * trace_coeff * t[i, j].imag
+    grad[4::2] = 2.0 * z.real - 2.0 * trace_coeff * t_low.real
+    grad[5::2] = -2.0 * z.imag - 2.0 * trace_coeff * t_low.imag
     return ll, grad
 
 
@@ -338,18 +332,13 @@ def _rho_from_params(params: np.ndarray) -> np.ndarray:
 
 def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
     """Profiled Poisson log-likelihood of a state given observed counts."""
-    p = np.array([expected_probability(rho, rec.setting) for rec in records])
-    p = p + _P_FLOOR
-    counts = np.array([rec.counts for rec in records], dtype=float)
-    exposures = np.array([rec.exposure for rec in records], dtype=float)
-    scale = counts.sum() / float(np.dot(exposures, p))
-    mu = scale * exposures * p
-    pos = counts > 0
-    return float(np.sum(counts[pos] * np.log(mu[pos])) - mu.sum())
+    vectors, counts, exposures = _arrays(records)
+    p = _born(density_change_basis(rho, LINEAR).matrix, vectors)
+    return _profiled(p, counts, exposures)[0]
 
 
-def _mle_seed(records: list[CountsRecord]) -> np.ndarray:
-    est = _linear_estimate(records)
+def _mle_seed(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    est = _linear_estimate(design, rates)
     trace = float(np.trace(est).real)
     if trace <= 0.0:
         mat = np.eye(4, dtype=complex) / 4.0
@@ -361,6 +350,50 @@ def _mle_seed(records: list[CountsRecord]) -> np.ndarray:
     mat = 0.99 * mat / max(np.trace(mat).real, 1e-12) + 0.01 * np.eye(4) / 4.0
     mat = 0.5 * (mat + mat.conj().T)
     return _params_from_t(_lower_t_factor(mat))
+
+
+def _mle(
+    vectors: np.ndarray,
+    counts: np.ndarray,
+    exposures: np.ndarray,
+    max_iterations: int = 10_000,
+) -> TomographyResult:
+    """reconstruct_mle on arrays: analyzer kets (n, 4), counts and exposures (n,)."""
+    from scipy.optimize import minimize
+
+    if len(vectors) < 16:
+        raise SpanError("at least 16 records are required")
+    if counts.sum() <= 0:
+        raise DegenerateCountsError("all settings recorded zero counts")
+    x0 = _mle_seed(_design(vectors), counts / exposures)
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        ll, grad = _likelihood_and_grad(x, vectors, counts, exposures)
+        return -ll, -grad
+
+    res = minimize(
+        objective,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iterations, "ftol": 1e-15, "gtol": 1e-8},
+    )
+    rho = DensityMatrix4(_rho_from_params(res.x), LINEAR)
+    result = TomographyResult(
+        rho=rho,
+        log_likelihood=_profiled(_born(rho.matrix, vectors), counts, exposures)[0],
+        iterations=int(res.nit),
+    )
+    grad_max = float(np.max(np.abs(res.jac)))
+    step_converged = res.status == 0  # ftol at machine resolution: steps stalled
+    if grad_max >= 1e-8 and not step_converged:
+        raise ConvergenceError(
+            f"MLE did not converge: L-BFGS-B stopped with status {res.status} "
+            f"({str(res.message).rstrip(': ')}) after {res.nit} iterations, "
+            f"gradient max-norm {grad_max:.3g}",
+            best=result,
+        )
+    return result
 
 
 def reconstruct_mle(
@@ -377,55 +410,7 @@ def reconstruct_mle(
     carrying the best iterate, with the solver's status, message, iteration
     count and final gradient max-norm in its message.
     """
-    if len(records) < 16:
-        raise SpanError("at least 16 records are required")
-    counts = np.array([rec.counts for rec in records], dtype=float)
-    if counts.sum() <= 0:
-        raise DegenerateCountsError("all settings recorded zero counts")
-    design = _design_matrix(records)
-    _check_span(design)
-
-    vectors = np.array([_setting_vector(rec.setting) for rec in records])
-    exposures = np.array([rec.exposure for rec in records], dtype=float)
-    x0 = _mle_seed(records)
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        ll, grad = _likelihood_and_grad(x, vectors, counts, exposures)
-        return -ll, -grad
-
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iterations, "ftol": 1e-15, "gtol": 1e-8},
-    )
-    rho = DensityMatrix4(_rho_from_params(res.x), LINEAR)
-    result = TomographyResult(
-        rho=rho,
-        log_likelihood=log_likelihood(rho, records),
-        iterations=int(res.nit),
-    )
-    grad_max = float(np.max(np.abs(res.jac)))
-    step_converged = res.status == 0  # ftol at machine resolution: steps stalled
-    if grad_max >= 1e-8 and not step_converged:
-        raise ConvergenceError(
-            f"MLE did not converge: L-BFGS-B stopped with status {res.status} "
-            f"({str(res.message).rstrip(': ')}) after {res.nit} iterations, "
-            f"gradient max-norm {grad_max:.3g}",
-            best=result,
-        )
-    return result
-
-
-def _resample_once(
-    records: list[CountsRecord], child: np.random.SeedSequence
-) -> list[CountsRecord]:
-    rng = np.random.default_rng(child)
-    return [
-        CountsRecord(rec.setting, int(rng.poisson(rec.counts)), rec.exposure)
-        for rec in records
-    ]
+    return _mle(*_arrays(records), max_iterations)
 
 
 def resample_uncertainties(
@@ -444,11 +429,12 @@ def resample_uncertainties(
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
+    vectors, counts, exposures = _arrays(records)
     samples: dict[str, list[float]] = {}
-    for child in children:
-        result = reconstruct_mle(_resample_once(records, child))
-        for name, value in entanglement.indicators(result.rho, target).items():
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        redrawn = np.random.default_rng(child).poisson(counts).astype(float)
+        rho = _mle(vectors, redrawn, exposures).rho
+        for name, value in entanglement.indicators(rho, target).items():
             samples.setdefault(name, []).append(value)
     return {
         name: MetricStats(
@@ -469,57 +455,26 @@ _CSV_FIELDS = [
 ]
 
 
-def _format_number(x: float) -> str:
-    if float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
-
-
 def write_counts_csv(records: list[CountsRecord], path, *, comments: list[str] | None = None) -> None:
     """Write records to CSV; optional '#'-prefixed comment lines go first."""
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for rec in records:
-            writer.writerow(
-                [rec.setting.label]
-                + [
-                    _format_number(x)
-                    for proj in (rec.setting.proj_s, rec.setting.proj_i)
-                    for x in (proj.c_h.real, proj.c_h.imag, proj.c_v.real, proj.c_v.imag)
-                ]
-                + [_format_number(rec.counts), _format_number(rec.exposure)]
-            )
-
-
-def _parse_field(row: dict, name: str, line: int) -> float:
-    raw = row.get(name)
-    if raw is None or raw == "":
-        raise CountsFileError(line, name, "missing value")
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CountsFileError(line, name, f"not a number: {raw!r}")
-    if not math.isfinite(value):
-        raise CountsFileError(line, name, f"not a finite number: {raw!r}")
-    return value
+    rows = (
+        [rec.setting.label]
+        + [
+            format_number(x)
+            for proj in (rec.setting.proj_s, rec.setting.proj_i)
+            for x in (proj.c_h.real, proj.c_h.imag, proj.c_v.real, proj.c_v.imag)
+        ]
+        + [format_number(rec.counts), format_number(rec.exposure)]
+        for rec in records
+    )
+    write_csv(path, _CSV_FIELDS, rows, comments)
 
 
 def read_counts_csv(path) -> list[CountsRecord]:
     """Read a counts CSV, validating the header and every field."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.lstrip().startswith("#")]
-    if not lines:
-        raise CountsFileError(1, "header", "file is empty")
-    reader = csv.DictReader(lines)
-    if reader.fieldnames != _CSV_FIELDS:
-        raise CountsFileError(1, "header", f"expected columns {','.join(_CSV_FIELDS)}")
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        vals = {name: _parse_field(row, name, lineno) for name in _CSV_FIELDS[1:]}
+    for lineno, row in read_csv(path, _CSV_FIELDS):
+        vals = {name: parse_float(row, name, lineno) for name in _CSV_FIELDS[1:]}
         try:
             proj_s = Projector.normalized(
                 complex(vals["proj_s_h_re"], vals["proj_s_h_im"]),
@@ -530,13 +485,11 @@ def read_counts_csv(path) -> list[CountsRecord]:
                 complex(vals["proj_i_v_re"], vals["proj_i_v_im"]),
             )
         except ValueError as exc:
-            raise CountsFileError(lineno, "projector", str(exc))
+            raise FileFormatError(lineno, "projector", str(exc))
         if vals["counts"] < 0:
-            raise CountsFileError(lineno, "counts", "must be non-negative")
+            raise FileFormatError(lineno, "counts", "must be non-negative")
         if vals["exposure"] <= 0:
-            raise CountsFileError(lineno, "exposure", "must be positive")
+            raise FileFormatError(lineno, "exposure", "must be positive")
         setting = MeasurementSetting(proj_s, proj_i, row.get("label") or f"row{lineno}")
         records.append(CountsRecord(setting, vals["counts"], vals["exposure"]))
-    if not records:
-        raise CountsFileError(2, "counts", "no data rows")
     return records

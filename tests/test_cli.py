@@ -146,6 +146,21 @@ class TestTomographyPipeline:
         assert code == 1
         assert "line" in err
 
+    def test_error_line_counts_comment_lines(self, capsys, tmp_path, monkeypatch):
+        # three comment lines and the header precede HH (line 5) and HV (line 6)
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3",
+            "--seed", "1", "--out", "counts.csv")
+        lines = (tmp_path / "counts.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        assert fields[0] == "HV"
+        fields[-2] = "nan"
+        lines[5] = ",".join(fields)
+        (tmp_path / "counts.csv").write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "reconstruct", "--counts", "counts.csv")
+        assert code == 1
+        assert err.startswith("error: line 6, field 'counts'")
+
 
 class TestG2Pipeline:
     def test_preset_simulation_and_fit(self, capsys, tmp_path, monkeypatch):
@@ -209,6 +224,35 @@ class TestG2Pipeline:
                            "single", "--seed", "5", "--out", str(out))
         assert code == 1
         assert err.startswith("error:") and "--model" in err
+        assert not out.exists()
+
+    def test_preset_model_flag_replaces_field(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        preset = bp.FIGURE_PRESETS["fig3"]
+        m = preset.model
+        explicit = ["--model", "beats", "--tau-x", repr(m.tau_x), "--tau-y", repr(m.tau_y),
+                    "--r", repr(m.r), "--phi", repr(m.phi), "--delta", repr(m.delta),
+                    "--background", repr(m.background), "--bin-width", repr(preset.bin_width),
+                    "--t-min", repr(preset.t_range[0]), "--t-max", repr(preset.t_range[1])]
+        for name, argv in (("preset", ["--preset", "fig3"]), ("explicit", explicit)):
+            code, _, err = run(capsys, "simulate-g2", *argv, "--g0", "5", "--seed", "5",
+                               "--out", f"{name}.csv")
+            assert code == 0, err
+        run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "5", "--out", "plain.csv")
+
+        def bins(name):
+            text = (tmp_path / name).read_text()
+            return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+        assert bins("preset.csv") == bins("explicit.csv")
+        assert bins("preset.csv") != bins("plain.csv")
+
+    def test_preset_rejects_flag_its_model_lacks(self, capsys, tmp_path):
+        out = tmp_path / "h.csv"
+        code, _, err = run(capsys, "simulate-g2", "--preset", "fig3", "--tau-rise", "2",
+                           "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "--tau-rise" in err
         assert not out.exists()
 
     def test_preset_g0_keeps_preset_starting_point(self, capsys, tmp_path, monkeypatch):

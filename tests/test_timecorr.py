@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from biphoton.csvio import FileFormatError
 from biphoton.timecorr import (
     DEFAULT_DELTA,
     FIGURE_PRESETS,
     BeatModelParams,
     CoincidenceHistogram,
     FitDegenerateError,
-    HistogramFileError,
     SinglePathParams,
     _bin_means,
     beat_contrast,
@@ -392,7 +392,7 @@ class TestHistogramCsv:
     def test_bad_value_names_line_and_field(self, tmp_path):
         path = tmp_path / "hist.csv"
         path.write_text("bin_start_ns,counts\n0.0,5\n1.0,oops\n")
-        with pytest.raises(HistogramFileError) as err:
+        with pytest.raises(FileFormatError) as err:
             read_histogram_csv(path)
         assert err.value.line == 3
         assert err.value.fieldname == "counts"
@@ -401,15 +401,27 @@ class TestHistogramCsv:
     def test_non_finite_value_names_line_and_field(self, tmp_path, row, field):
         path = tmp_path / "hist.csv"
         path.write_text(f"bin_start_ns,counts\n0.0,5\n{row}\n2.0,7\n")
-        with pytest.raises(HistogramFileError) as err:
+        with pytest.raises(FileFormatError) as err:
             read_histogram_csv(path)
         assert err.value.line == 3
         assert err.value.fieldname == field
 
+    def test_error_line_counts_comment_lines(self, tmp_path):
+        hist = simulate_histogram(FIGURE_PRESETS["fig2x"].model, 1.0, (-25.0, 50.0), seed=4)
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(hist, path, comments=["seed: 4", "note"])
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",-3"  # the second bin, file line 5
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            read_histogram_csv(path)
+        assert err.value.line == 5
+        assert err.value.fieldname == "counts"
+
     def test_nonuniform_bins_rejected(self, tmp_path):
         path = tmp_path / "hist.csv"
         path.write_text("bin_start_ns,counts\n0.0,5\n1.0,6\n3.0,7\n")
-        with pytest.raises(HistogramFileError):
+        with pytest.raises(FileFormatError):
             read_histogram_csv(path)
 
 

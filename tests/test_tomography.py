@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 import biphoton as bp
 from biphoton.polstate import (
@@ -17,14 +18,18 @@ from biphoton.polstate import (
 )
 from biphoton.tomography import (
     ConvergenceError,
-    CountsFileError,
     CountsRecord,
     DegenerateCountsError,
+    FileFormatError,
     MeasurementSetting,
     SpanError,
     UnphysicalStateError,
+    _arrays,
+    _design,
     _likelihood_and_grad,
-    _setting_vector,
+    _linear_estimate,
+    _vectors,
+    expected_probabilities,
     expected_probability,
     log_likelihood,
     read_counts_csv,
@@ -72,8 +77,7 @@ class TestStandardSettings:
         # Gram matrix of the projector outer products must have rank 16
         settings = standard_settings(kind)
         ops = []
-        for s in settings:
-            v = _setting_vector(s)
+        for v in _vectors(settings):
             ops.append(np.outer(v, v.conj()).reshape(-1))
         gram = np.array([[np.vdot(a, b) for b in ops] for a in ops])
         assert np.linalg.matrix_rank(gram, tol=1e-10) == 16
@@ -81,6 +85,42 @@ class TestStandardSettings:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             standard_settings("tetrahedral")
+
+
+def haar_u2(rng: np.random.Generator) -> np.ndarray:
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated_settings(u_s: np.ndarray, u_i: np.ndarray) -> list[MeasurementSetting]:
+    return [
+        MeasurementSetting(
+            Projector(*(u_s @ s.proj_s.vector(LINEAR))),
+            Projector(*(u_i @ s.proj_i.vector(LINEAR))),
+            s.label,
+        )
+        for s in standard_settings("overcomplete36")
+    ]
+
+
+class TestExpectedProbabilities:
+    @hypothesis_settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_exact_records_invert_under_local_rotation(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        mat = g @ g.conj().T
+        rho = DensityMatrix4(0.5 * (mat + mat.conj().T) / np.trace(mat).real, LINEAR)
+        settings = rotated_settings(haar_u2(rng), haar_u2(rng))
+        probs = expected_probabilities(rho, settings)
+        by_label = dict(zip((s.label for s in settings), probs))
+        for pair_s in ("HV", "DA", "LR"):
+            for pair_i in ("HV", "DA", "LR"):
+                total = sum(by_label[a + b] for a in pair_s for b in pair_i)
+                assert abs(total - 1.0) <= 1e-12
+        records = [CountsRecord(s, float(p), 1.0) for s, p in zip(settings, probs)]
+        assert np.max(np.abs(reconstruct_linear(records).matrix - rho.matrix)) <= 1e-10
 
 
 class TestSimulateCounts:
@@ -192,13 +232,12 @@ class TestReconstructMLE:
             assert np.trace(result.rho.matrix).real == pytest.approx(1.0, abs=1e-10)
 
     def test_likelihood_beats_projected_linear(self, rho_x):
-        from biphoton.tomography import _linear_estimate
-
         settings = standard_settings("overcomplete36")
         for seed in (1, 2, 3):
             records = simulate_counts(rho_x, settings, 500, seed)
             mle = reconstruct_mle(records)
-            est = _linear_estimate(records)
+            vectors, counts, exposures = _arrays(records)
+            est = _linear_estimate(_design(vectors), counts / exposures)
             evals, evecs = np.linalg.eigh(est)
             evals = np.clip(evals, 0.0, None)
             projected = (evecs * evals) @ evecs.conj().T
@@ -211,7 +250,7 @@ class TestReconstructMLE:
 
     def test_gradient_matches_finite_differences(self, rho_x):
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e4, 13)
-        vectors = np.array([_setting_vector(r.setting) for r in records])
+        vectors = _vectors([r.setting for r in records])
         counts = np.array([r.counts for r in records], dtype=float)
         exposures = np.ones(len(records))
         rng = np.random.default_rng(0)
@@ -228,27 +267,14 @@ class TestReconstructMLE:
 
     def test_equivariance_under_local_unitaries(self, ket_x):
         rng = np.random.default_rng(77)
-
-        def haar_u2():
-            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(z)
-            return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-        u_s, u_i = haar_u2(), haar_u2()
+        u_s, u_i = haar_u2(rng), haar_u2(rng)
         u = np.kron(u_s, u_i)
         rho = density_from_ket(ket_x)
         rho_lin = density_change_basis(rho, LINEAR)
         mapped = DensityMatrix4(u @ rho_lin.matrix @ u.conj().T, LINEAR)
 
         settings = standard_settings("overcomplete36")
-        mapped_settings = [
-            MeasurementSetting(
-                Projector(*(u_s @ s.proj_s.vector(LINEAR))),
-                Projector(*(u_i @ s.proj_i.vector(LINEAR))),
-                s.label,
-            )
-            for s in settings
-        ]
+        mapped_settings = rotated_settings(u_s, u_i)
         rec_a = simulate_counts(rho_lin, settings, 1e5, seed=4)
         rec_b = simulate_counts(mapped, mapped_settings, 1e5, seed=4)
         rho_a = reconstruct_mle(rec_a).rho.matrix
@@ -291,18 +317,23 @@ class TestReconstructMLE:
 
 
 class TestResampling:
-    def test_identical_child_seeds_give_zero_std(self, rho_x):
-        from biphoton.tomography import _resample_once
-
+    def test_matches_explicit_loop(self, ket_x, rho_x):
+        # Each resample: its own child seed, Poisson redraw, MLE, indicators.
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e3, 6)
-        child = np.random.SeedSequence(42)
-        a = _resample_once(records, child)
-        b = _resample_once(records, np.random.SeedSequence(42))
-        assert [r.counts for r in a] == [r.counts for r in b]
-        metrics = [
-            bp.concurrence(reconstruct_mle(sample).rho) for sample in (a, b)
-        ]
-        assert np.std(metrics) == 0.0
+        samples = {}
+        for child in np.random.SeedSequence(42).spawn(4):
+            counts = np.random.default_rng(child).poisson([r.counts for r in records])
+            redrawn = [
+                CountsRecord(r.setting, int(n), r.exposure) for r, n in zip(records, counts)
+            ]
+            rho = reconstruct_mle(redrawn).rho
+            for name, value in bp.entanglement.indicators(rho, ket_x).items():
+                samples.setdefault(name, []).append(value)
+        stats = resample_uncertainties(records, 4, seed=42, target=ket_x)
+        assert set(stats) == set(samples)
+        for name, values in samples.items():
+            assert stats[name].mean == float(np.mean(values))
+            assert stats[name].std == float(np.std(values, ddof=1))
 
     def test_poisson_scaling_law(self, rho_x):
         settings = standard_settings("overcomplete36")
@@ -343,7 +374,7 @@ class TestCountsCsv:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(CountsFileError):
+        with pytest.raises(FileFormatError):
             read_counts_csv(path)
 
     def test_bad_number_names_line_and_field(self, rho_x, tmp_path):
@@ -355,7 +386,7 @@ class TestCountsCsv:
         parts[-2] = "not_a_number"
         lines[3] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CountsFileError) as err:
+        with pytest.raises(FileFormatError) as err:
             read_counts_csv(path)
         assert err.value.line == 4
         assert err.value.fieldname == "counts"
@@ -369,7 +400,7 @@ class TestCountsCsv:
         parts[-2] = "nan"
         lines[5] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CountsFileError) as err:
+        with pytest.raises(FileFormatError) as err:
             read_counts_csv(path)
         assert err.value.line == 6
         assert err.value.fieldname == "counts"
@@ -377,5 +408,5 @@ class TestCountsCsv:
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(CountsFileError):
+        with pytest.raises(FileFormatError):
             read_counts_csv(path)
