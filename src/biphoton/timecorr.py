@@ -414,7 +414,8 @@ def fit_single(
             g0=max(x[0], 1e-12),
             tau_rise=max(x[1], 1e-6),
             tau_decay=max(x[2], 1e-6),
-            background=max(x[3], 0.0),
+            # |x| rather than a clamp at 0, whose Jacobian column vanishes below 0
+            background=abs(x[3]),
         )
         offset = x[4] if fit_offset else 0.0
         return params, offset
@@ -497,7 +498,7 @@ def fit_beats(
             if name == "g0":
                 updates["g0"] = math.sqrt(max(float(value), 1e-30))
             elif name == "background":
-                updates["background"] = max(float(value), 0.0)
+                updates["background"] = abs(float(value))  # as in fit_single
             elif name in ("tau_x", "tau_y"):
                 updates[name] = max(float(value), 1e-6)
             elif name == "delta":

@@ -148,9 +148,10 @@ def _arrays(records: list[CountsRecord]) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _born(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    # One product per row: a batched contraction rounds differently, and a
-    # shift in the last place can move a Poisson draw.
-    return np.maximum([(v.conj() @ matrix @ v).real for v in vectors], 0.0)
+    # Stacked products, one per row, round as v.conj() @ matrix @ v does; a
+    # contraction such as einsum rounds differently, and a shift in the last
+    # place can move a Poisson draw.
+    return np.maximum(((vectors.conj()[:, None, :] @ matrix) @ vectors[:, :, None])[:, 0, 0].real, 0.0)
 
 
 def expected_probabilities(
@@ -192,6 +193,7 @@ def simulate_counts(
 # Operator basis: E_aa for a = 0..3, then E_ab + E_ba and i(E_ba - E_ab) for
 # each pair a < b in this order.
 _PAIRS = np.triu_indices(4, 1)
+_DIAG = np.arange(4)
 
 
 def _design(vectors: np.ndarray) -> np.ndarray:
@@ -212,14 +214,19 @@ def _design(vectors: np.ndarray) -> np.ndarray:
     return design
 
 
+def _operators(coeffs: np.ndarray) -> np.ndarray:
+    """Hermitian operators (..., 4, 4) from their basis coefficients (..., 16)."""
+    est = np.zeros(coeffs.shape[:-1] + (4, 4), dtype=complex)
+    est[..., _DIAG, _DIAG] = coeffs[..., :4]
+    est[..., _PAIRS[0], _PAIRS[1]] = coeffs[..., 4::2] - 1j * coeffs[..., 5::2]
+    est[..., _PAIRS[1], _PAIRS[0]] = coeffs[..., 4::2] + 1j * coeffs[..., 5::2]
+    return 0.5 * (est + est.conj().swapaxes(-1, -2))
+
+
 def _linear_estimate(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Unnormalized least-squares operator estimate (flux times state)."""
     coeffs, *_ = np.linalg.lstsq(design, rates, rcond=None)
-    est = np.zeros((4, 4), dtype=complex)
-    est[np.diag_indices(4)] = coeffs[:4]
-    est[_PAIRS] = coeffs[4::2] - 1j * coeffs[5::2]
-    est[_PAIRS[::-1]] = coeffs[4::2] + 1j * coeffs[5::2]
-    return 0.5 * (est + est.conj().T)
+    return _operators(coeffs)
 
 
 def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
@@ -246,110 +253,180 @@ def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
 
 # ---------------------------------------------------------------------------
 # Maximum likelihood
+#
+# The state is rho = T^dagger T / Tr[T^dagger T] with T lower triangular and
+# real on the diagonal (James et al., PRA 64, 052312 (2001)).  Its 16 real
+# parameters x are the diagonal, then the real and imaginary parts of the
+# sub-diagonal entries row by row: T = sum_j x_j E_j.  With the flux profiled
+# out, the log-likelihood is, up to a constant,
+#
+#     ll(x) = sum_k n_k ln q_k - N ln s,   q_k = x^T A_k x,   s = x^T S x,
+#
+# where A_k = Re(M_k^dagger M_k), column j of M_k is E_j v_k, S = sum_k e_k A_k
+# and N = sum_k n_k.  ll is homogeneous of degree 0 in x, and its gradient and
+# Hessian have closed forms (_likelihood).
 
 _P_FLOOR = 1e-12
-# Lower-triangular parameter layout: 4 real diagonal entries, then the
-# real and imaginary parts of the sub-diagonal entries row by row.
 _TRIL = np.tril_indices(4, -1)
+_E = np.zeros((16, 4, 4), dtype=complex)  # T = sum_j x_j E_j
+_E[_DIAG, _DIAG, _DIAG] = 1.0
+_E[np.arange(4, 16, 2), _TRIL[0], _TRIL[1]] = 1.0
+_E[np.arange(5, 16, 2), _TRIL[0], _TRIL[1]] = 1j
 
-
-def _t_matrix(params: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = params[:4]
-    t[_TRIL] = params[4::2] + 1j * params[5::2]
-    return t
-
-
-def _params_from_t(t: np.ndarray) -> np.ndarray:
-    params = np.empty(16)
-    params[:4] = np.diagonal(t).real
-    params[4::2] = t[_TRIL].real
-    params[5::2] = t[_TRIL].imag
-    return params
+# Damped Newton ascent at |x| = 1 (_ascend): each step solves
+# (-H + c x x^T + lambda c I) d = g, with c the largest |diagonal entry| of H.
+# The damping lambda starts at _DAMPING; it is divided by 10 (down to
+# _DAMPING_MIN) after an accepted step and multiplied by 10 after a rejected
+# one.  A step is accepted when ll does not fall by more than its rounding,
+# _ROUNDING |ll|.  The ascent stops at an accepted step with lambda at most
+# _UNDAMPED that gains less than _GAIN_TOL |ll|, and fails once lambda exceeds
+# _DAMPING_MAX or the iterations run out.
+_DAMPING = 1e-3
+_DAMPING_MIN = 1e-12
+_UNDAMPED = 1e-6
+_DAMPING_MAX = 1e16
+_GAIN_TOL = 1e-13
+_ROUNDING = 1e-14
 
 
 def _lower_t_factor(mat: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T^dagger T = mat, for a positive definite mat."""
-    rev = np.arange(3, -1, -1)
-    chol = np.linalg.cholesky(mat[np.ix_(rev, rev)])
-    upper = chol[np.ix_(rev, rev)]
-    return upper.conj().T
+    """Lower-triangular T with T^dagger T = mat, for positive definite mats (..., 4, 4)."""
+    rev = np.arange(3, -1, -1)[:, None], np.arange(3, -1, -1)
+    chol = np.linalg.cholesky(mat[..., rev[0], rev[1]])
+    return chol[..., rev[0], rev[1]].conj().swapaxes(-1, -2)
 
 
-def _profiled(
-    p: np.ndarray, counts: np.ndarray, exposures: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """Poisson log-likelihood with the flux profiled out; also the flux and the means."""
+def _rho_from_params(params: np.ndarray) -> np.ndarray:
+    """T^dagger T / Tr for parameters (B, 16), plus 1e-15 I so that no eigenvalue is computed below 0."""
+    t = (params @ _E.reshape(16, 16)).reshape(-1, 4, 4)
+    mat = t.conj().swapaxes(-1, -2) @ t
+    mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+    mat = mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None] + 1e-15 * np.eye(4)
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _profiled(p: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> float:
+    """Poisson log-likelihood with the flux profiled out."""
     p = p + _P_FLOOR
     scale = float(counts.sum()) / float(np.dot(exposures, p))
     mu = scale * exposures * p
     pos = counts > 0
-    return float(np.sum(counts[pos] * np.log(mu[pos])) - mu.sum()), scale, mu
+    return float(np.sum(counts[pos] * np.log(mu[pos])) - mu.sum())
 
 
-def _likelihood_and_grad(
-    params: np.ndarray,
-    vectors: np.ndarray,
-    counts: np.ndarray,
-    exposures: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Profiled Poisson log-likelihood and its gradient in the T parameters."""
-    t = _t_matrix(params)
-    w = t @ vectors.T                      # (4, n) columns are T v_nu
-    q = np.sum(np.abs(w) ** 2, axis=0)     # <v| T^dag T |v>
-    trace = float(np.sum(np.abs(t) ** 2))
-    ll, scale, mu = _profiled(q / trace, counts, exposures)
+def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_k (n, 16, 16) and S (16, 16) of the analyzer kets (n, 4) and exposures."""
+    m = (_E @ vectors.T).transpose(2, 1, 0)  # (n, 4, 16): column j of M_k is E_j v_k
+    a = (m.conj().swapaxes(1, 2) @ m).real
+    a = 0.5 * (a + a.swapaxes(1, 2))
+    return a, np.tensordot(exposures, a, axes=1)
 
-    # dLL/dp_nu, with the profiled scale fixed (envelope theorem)
-    dll_dp = (np.where(mu > 0, counts / np.where(mu > 0, mu, 1.0), 0.0) - 1.0) * (
-        scale * exposures
+
+def _likelihood(
+    x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray, derivatives: bool = True
+):
+    """ll (B,) at the parameter stack x (B, 16); with derivatives also the gradient and Hessian.
+
+    Only stacked products, elementwise operations and reductions over a
+    problem's own axes are used, so each problem's numbers do not depend on
+    the others in the stack.
+    """
+    n = a.shape[0]
+    ax = (a.reshape(n * 16, 16) @ x[:, :, None]).reshape(len(x), n, 16)  # rows A_k x
+    q = (ax @ x[:, :, None])[..., 0]
+    sx = (s_mat @ x[:, :, None])[..., 0]
+    s = (sx[:, None, :] @ x[:, :, None])[:, 0, 0]
+    pos = counts > 0
+    total = np.sum(counts, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log(q, out=np.zeros_like(q), where=pos)
+        ll = np.sum(counts * log_q, axis=-1) - total * np.log(s)
+    if not derivatives:
+        return ll
+    w = np.divide(counts, q, out=np.zeros_like(q), where=pos)
+    w_q = np.divide(w, q, out=np.zeros_like(q), where=pos)
+    ns = (total / s)[:, None]
+    grad = 2.0 * (w[:, None, :] @ ax)[:, 0, :] - 2.0 * ns * sx
+    hess = (
+        2.0 * (w[:, None, :] @ a.reshape(n, 256)).reshape(-1, 16, 16)
+        - 4.0 * ((ax * w_q[:, :, None]).swapaxes(1, 2) @ ax)
+        - 2.0 * ns[:, :, None] * s_mat
+        + 4.0 * (ns / s[:, None])[:, :, None] * (sx[:, :, None] * sx[:, None, :])
     )
-    # p = q / trace: back-propagate through q and through the trace
-    coeff = dll_dp / trace
-    m_complex = (w.conj() * coeff) @ vectors    # (4, 4): sum_nu c_nu conj(w_nu) v_nu^T
-    trace_coeff = float(np.dot(coeff, q)) / trace
-
-    grad = np.empty(16)
-    diag = np.diagonal(m_complex)
-    z, t_low = m_complex[_TRIL], t[_TRIL]
-    grad[:4] = 2.0 * diag.real - 2.0 * trace_coeff * params[:4]
-    grad[4::2] = 2.0 * z.real - 2.0 * trace_coeff * t_low.real
-    grad[5::2] = -2.0 * z.imag - 2.0 * trace_coeff * t_low.imag
-    return ll, grad
+    return ll, grad, hess
 
 
-def _rho_from_params(params: np.ndarray) -> np.ndarray:
-    t = _t_matrix(params)
-    mat = t.conj().T @ t
-    mat = mat / np.trace(mat).real
-    # clamp eigenvalue dust and add a strictly positive floor
-    evals, evecs = np.linalg.eigh(mat)
-    evals = np.clip(evals, 0.0, None) + 1e-15
-    mat = (evecs * evals) @ evecs.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return mat / np.trace(mat).real
+def _newton_basis(x: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+    """Eigenpairs of -H + c x x^T, c the largest |diagonal entry| of H, and the gradient in that basis.
+
+    The x x^T term pins the radial direction, along which ll is flat.  One
+    decomposition serves every damping tried at the point: the damped system
+    -H + c x x^T + lambda c I has the same eigenvectors.
+    """
+    scale = np.max(np.abs(np.diagonal(hess, axis1=1, axis2=2)), axis=-1)
+    curvature, vecs = np.linalg.eigh(scale[:, None, None] * (x[:, :, None] * x[:, None, :]) - hess)
+    return scale, curvature, vecs, (grad[:, None, :] @ vecs)[:, 0, :]
+
+
+def _ascend(
+    x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray, max_iterations: int
+):
+    """Damped Newton ascent of every problem in the stack; a problem that stops is frozen.
+
+    Returns the final parameters, iteration counts, damping, gradient
+    max-norm and a converged flag per problem.
+    """
+    x = x / np.sqrt(np.sum(x * x, axis=-1))[:, None]
+    ll, grad, hess = _likelihood(x, a, s_mat, counts)
+    scale, curvature, vecs, along = _newton_basis(x, grad, hess)
+    damping = np.full(len(x), _DAMPING)
+    iterations = np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.full(len(x), max_iterations > 0)
+    while active.any():
+        shifted = curvature + (damping * scale)[:, None]
+        # Only a positive definite system gives an ascent step; any other
+        # counts as a rejected step, so the ascent cannot settle on a saddle.
+        ascent = active & (shifted[:, 0] > 0.0)
+        step = vecs @ (along / np.where(ascent[:, None], shifted, 1.0))[:, :, None]
+        trial = x + np.where(ascent[:, None], step[:, :, 0], 0.0)
+        trial = trial / np.sqrt(np.sum(trial * trial, axis=-1))[:, None]
+        ll_trial = _likelihood(trial, a, s_mat, counts, derivatives=False)
+        accept = ascent & (ll_trial >= ll - _ROUNDING * np.abs(ll))
+        done = accept & (damping <= _UNDAMPED) & (ll_trial - ll <= _GAIN_TOL * np.abs(ll))
+        iterations += active
+        damping = np.where(accept, np.maximum(damping / 10.0, _DAMPING_MIN),
+                           np.where(active, damping * 10.0, damping))
+        x = np.where(accept[:, None], trial, x)
+        ll = np.where(accept, ll_trial, ll)
+        j = np.flatnonzero(accept & ~done)
+        if len(j):
+            _, grad[j], hess = _likelihood(x[j], a, s_mat, counts[j])
+            scale[j], curvature[j], vecs[j], along[j] = _newton_basis(x[j], grad[j], hess)
+        converged |= done
+        active &= ~done & (iterations < max_iterations) & (damping <= _DAMPING_MAX)
+    return x, iterations, damping, np.max(np.abs(grad), axis=-1), converged
 
 
 def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
     """Profiled Poisson log-likelihood of a state given observed counts."""
     vectors, counts, exposures = _arrays(records)
     p = _born(density_change_basis(rho, LINEAR).matrix, vectors)
-    return _profiled(p, counts, exposures)[0]
+    return _profiled(p, counts, exposures)
 
 
 def _mle_seed(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    est = _linear_estimate(design, rates)
-    trace = float(np.trace(est).real)
-    if trace <= 0.0:
-        mat = np.eye(4, dtype=complex) / 4.0
-    else:
-        mat = est / trace
+    """Starting parameters (B, 16) for the rates (B, n): the linear estimate
+    projected onto the states and mixed with 1% of I/4."""
+    est = _operators((np.linalg.pinv(design) @ rates[:, :, None])[..., 0])
+    trace = np.trace(est, axis1=1, axis2=2).real[:, None, None]
+    mat = np.where(trace > 0.0, est / np.where(trace > 0.0, trace, 1.0), np.eye(4) / 4.0)
     evals, evecs = np.linalg.eigh(mat)
-    evals = np.clip(evals, 0.0, None)
-    mat = (evecs * evals) @ evecs.conj().T
-    mat = 0.99 * mat / max(np.trace(mat).real, 1e-12) + 0.01 * np.eye(4) / 4.0
-    mat = 0.5 * (mat + mat.conj().T)
-    return _params_from_t(_lower_t_factor(mat))
+    mat = (evecs * np.clip(evals, 0.0, None)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
+    trace = np.maximum(np.trace(mat, axis1=1, axis2=2).real, 1e-12)[:, None, None]
+    mat = 0.99 * mat / trace + 0.01 * np.eye(4) / 4.0
+    mat = 0.5 * (mat + mat.conj().swapaxes(1, 2))
+    return (_lower_t_factor(mat).reshape(-1, 16) @ _E.reshape(16, 16).conj().T).real
 
 
 def _mle(
@@ -357,60 +434,55 @@ def _mle(
     counts: np.ndarray,
     exposures: np.ndarray,
     max_iterations: int = 10_000,
-) -> TomographyResult:
-    """reconstruct_mle on arrays: analyzer kets (n, 4), counts and exposures (n,)."""
-    from scipy.optimize import minimize
-
+) -> list[TomographyResult]:
+    """reconstruct_mle on arrays: analyzer kets (n, 4), a stack of counts (B, n)
+    and exposures (n,).  The B problems are solved together; each result is
+    the same as that of a stack of one."""
     if len(vectors) < 16:
         raise SpanError("at least 16 records are required")
-    if counts.sum() <= 0:
+    if np.any(np.sum(counts, axis=1) <= 0):
         raise DegenerateCountsError("all settings recorded zero counts")
     x0 = _mle_seed(_design(vectors), counts / exposures)
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        ll, grad = _likelihood_and_grad(x, vectors, counts, exposures)
-        return -ll, -grad
-
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iterations, "ftol": 1e-15, "gtol": 1e-8},
+    x, iterations, damping, grad_max, converged = _ascend(
+        x0, *_quadratic_forms(vectors, exposures), counts, max_iterations
     )
-    rho = DensityMatrix4(_rho_from_params(res.x), LINEAR)
-    result = TomographyResult(
-        rho=rho,
-        log_likelihood=_profiled(_born(rho.matrix, vectors), counts, exposures)[0],
-        iterations=int(res.nit),
-    )
-    grad_max = float(np.max(np.abs(res.jac)))
-    step_converged = res.status == 0  # ftol at machine resolution: steps stalled
-    if grad_max >= 1e-8 and not step_converged:
-        raise ConvergenceError(
-            f"MLE did not converge: L-BFGS-B stopped with status {res.status} "
-            f"({str(res.message).rstrip(': ')}) after {res.nit} iterations, "
-            f"gradient max-norm {grad_max:.3g}",
-            best=result,
+    results = []
+    for b, mat in enumerate(_rho_from_params(x)):
+        rho = DensityMatrix4(mat, LINEAR)
+        result = TomographyResult(
+            rho=rho,
+            log_likelihood=_profiled(_born(mat, vectors), counts[b], exposures),
+            iterations=int(iterations[b]),
         )
-    return result
+        if not converged[b]:
+            cause = "iteration cap" if iterations[b] >= max_iterations else "damping overflow"
+            raise ConvergenceError(
+                f"MLE did not converge: damped Newton stopped ({cause}) after "
+                f"{iterations[b]} iterations, damping {damping[b]:.3g}, "
+                f"gradient max-norm {grad_max[b]:.3g}",
+                best=result,
+            )
+        results.append(result)
+    return results
 
 
 def reconstruct_mle(
     records: list[CountsRecord], *, max_iterations: int = 10_000
 ) -> TomographyResult:
-    """Maximum-likelihood state reconstruction, strictly positive semidefinite.
+    """Maximum-likelihood state reconstruction, positive semidefinite by construction.
 
     The state is parameterized as T^dagger T / Tr[T^dagger T] with a
     lower-triangular T (16 real parameters) and ascended deterministically
-    (L-BFGS with analytic gradients) from the linear-inversion seed.  The
-    ascent counts as converged when the gradient max-norm falls below 1e-8
-    or the remaining steps are below machine resolution; any other stop (the
-    iteration cap, a failed line search) raises :class:`ConvergenceError`
-    carrying the best iterate, with the solver's status, message, iteration
-    count and final gradient max-norm in its message.
+    from the linear-inversion seed by damped Newton steps on the exact
+    Hessian.  The ascent counts as converged at a nearly undamped step that
+    gains less than 1e-13 of the log-likelihood; running out of
+    ``max_iterations`` steps (``iterations`` counts every step tried,
+    accepted or not) or of damping raises :class:`ConvergenceError`,
+    which carries the best iterate and names the iteration count, the final
+    damping and the gradient max-norm.
     """
-    return _mle(*_arrays(records), max_iterations)
+    vectors, counts, exposures = _arrays(records)
+    return _mle(vectors, counts[None], exposures, max_iterations)[0]
 
 
 def resample_uncertainties(
@@ -422,19 +494,23 @@ def resample_uncertainties(
 ) -> dict[str, MetricStats]:
     """Parametric bootstrap of the entanglement indicators.
 
-    Each resample redraws every count from Poisson(observed count), re-runs
-    the maximum-likelihood reconstruction, and evaluates the indicators; the
-    spread over resamples estimates the counting-statistics uncertainty.
-    Fidelity is included only when a ``target`` ket is supplied.
+    Each resample redraws every count from Poisson(observed count); all
+    resamples are then reconstructed by maximum likelihood in one stacked
+    solve, with the same results as one at a time, and the indicators of
+    each are evaluated.  The spread over resamples estimates the
+    counting-statistics uncertainty.  Fidelity is included only when a
+    ``target`` ket is supplied.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
     vectors, counts, exposures = _arrays(records)
+    redrawn = np.array([
+        np.random.default_rng(child).poisson(counts)
+        for child in np.random.SeedSequence(seed).spawn(n_resamples)
+    ], dtype=float)
     samples: dict[str, list[float]] = {}
-    for child in np.random.SeedSequence(seed).spawn(n_resamples):
-        redrawn = np.random.default_rng(child).poisson(counts).astype(float)
-        rho = _mle(vectors, redrawn, exposures).rho
-        for name, value in entanglement.indicators(rho, target).items():
+    for result in _mle(vectors, redrawn, exposures):
+        for name, value in entanglement.indicators(result.rho, target).items():
             samples.setdefault(name, []).append(value)
     return {
         name: MetricStats(

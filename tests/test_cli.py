@@ -182,6 +182,15 @@ class TestG2Pipeline:
                            "--model", "single")
         assert payload["fit"]["params"]["tau_decay"] == pytest.approx(5.6, rel=0.02)
 
+    def test_single_model_fit_at_zero_background(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "simulate-g2", "--model", "single", "--bin-width", "1",
+                           "--t-min", "-20", "--t-max", "40", "--seed", "8",
+                           "--out", "hist.csv")
+        assert code == 0, err
+        code, _, err = run(capsys, "fit-g2", "--hist", "hist.csv", "--model", "single")
+        assert code == 0, err
+
     def test_explicit_model_simulation(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, err = run(

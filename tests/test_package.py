@@ -1,4 +1,4 @@
-"""Package-level checks: import cost and the demo scripts."""
+"""Package-level checks: import cost, scipy-free tomography and the demo scripts."""
 
 import os
 import subprocess
@@ -22,6 +22,21 @@ def test_import_leaves_out_scipy_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_tomography_runs_without_scipy():
+    code = (
+        "import sys, biphoton as bp\n"
+        "rho = bp.density_from_ket(bp.ket_from_path(bp.predict_path_state(bp.PATH_X)))\n"
+        "records = bp.simulate_counts(rho, bp.standard_settings('overcomplete36'), 1e3, 5)\n"
+        "bp.reconstruct_mle(records)\n"
+        "bp.resample_uncertainties(records, 3, 6)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

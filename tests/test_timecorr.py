@@ -1,6 +1,7 @@
 """Time-correlation models, synthetic histograms, jitter convolution, fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,6 +310,15 @@ class TestFitSingle:
             "tau_decay"
         ]
 
+    def test_fits_zero_background(self):
+        # A step that takes the background below zero must not freeze it there.
+        truth = SinglePathParams(g0=1000.0, tau_rise=3.1, tau_decay=5.6)
+        for seed in range(20):
+            hist = simulate_histogram(truth, 1.0, (-20.0, 40.0), seed)
+            fit = fit_single(hist, estimate_single_init(hist))
+            assert fit.params.background >= 0.0
+            assert fit.params.tau_decay == pytest.approx(5.6, rel=0.1)
+
 
 class TestFitBeats:
     def test_recovers_amplitude_scale(self):
@@ -370,6 +380,15 @@ class TestFitBeats:
         assert fit9.params.background == pytest.approx(
             9 * fit1.params.background, rel=1e-5
         )
+
+    def test_fits_zero_background(self):
+        preset = FIGURE_PRESETS["fig3"]
+        model = replace(preset.model, background=0.0)
+        for seed in range(20):
+            hist = simulate_histogram(model, preset.bin_width, preset.t_range, seed)
+            fit = fit_beats(hist, model)
+            assert fit.params.background >= 0.0
+            assert fit.params.g0 == pytest.approx(model.g0, rel=0.05)
 
     def test_unknown_free_parameter_rejected(self):
         model = FIGURE_PRESETS["fig3"].model

@@ -26,8 +26,10 @@ from biphoton.tomography import (
     UnphysicalStateError,
     _arrays,
     _design,
-    _likelihood_and_grad,
+    _likelihood,
     _linear_estimate,
+    _mle,
+    _quadratic_forms,
     _vectors,
     expected_probabilities,
     expected_probability,
@@ -248,22 +250,22 @@ class TestReconstructMLE:
             ll_lin = log_likelihood(projected, records)
             assert mle.log_likelihood >= ll_lin - 1e-6 * abs(ll_lin)
 
-    def test_gradient_matches_finite_differences(self, rho_x):
+    def test_gradient_and_hessian_match_finite_differences(self, rho_x):
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e4, 13)
-        vectors = _vectors([r.setting for r in records])
-        counts = np.array([r.counts for r in records], dtype=float)
-        exposures = np.ones(len(records))
+        vectors, counts, exposures = _arrays(records)
+        a, s_mat = _quadratic_forms(vectors, exposures)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=16) * 0.5
-        _, grad = _likelihood_and_grad(x, vectors, counts, exposures)
+        x = rng.normal(size=(1, 16)) * 0.5
+        _, grad, hess = _likelihood(x, a, s_mat, counts[None])
         eps = 1e-6
         for i in range(16):
-            dx = np.zeros(16)
-            dx[i] = eps
-            lp, _ = _likelihood_and_grad(x + dx, vectors, counts, exposures)
-            lm, _ = _likelihood_and_grad(x - dx, vectors, counts, exposures)
-            fd = (lp - lm) / (2 * eps)
-            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-4)
+            dx = np.zeros((1, 16))
+            dx[0, i] = eps
+            lp, gp, _ = _likelihood(x + dx, a, s_mat, counts[None])
+            lm, gm, _ = _likelihood(x - dx, a, s_mat, counts[None])
+            assert grad[0, i] == pytest.approx((lp[0] - lm[0]) / (2 * eps), rel=1e-5, abs=1e-4)
+            fd_row = (gp[0] - gm[0]) / (2 * eps)
+            assert np.allclose(hess[0, i], fd_row, rtol=1e-5, atol=1e-6 * np.max(np.abs(hess)))
 
     def test_equivariance_under_local_unitaries(self, ket_x):
         rng = np.random.default_rng(77)
@@ -289,20 +291,48 @@ class TestReconstructMLE:
         )
         assert fid >= 0.999
 
-    def test_convergence_error_reports_solver_stop(self, rho_x):
-        # A dataset on which L-BFGS-B stops in its line search long before
-        # the iteration cap: the message must say so, not blame the cap.
+    def test_seed_1034_dataset_converges(self, rho_x):
+        # L-BFGS-B stopped in its line search on this dataset (status 2, after
+        # 55 iterations) with its best iterate at log-likelihood 8429133.40110831.
         settings = standard_settings("overcomplete36")
         probs = np.array([expected_probability(rho_x, s) for s in settings])
         counts = np.random.default_rng(1034).poisson(1e5 * probs)
         records = [CountsRecord(s, int(n)) for s, n in zip(settings, counts)]
+        result = reconstruct_mle(records)
+        assert result.log_likelihood >= 8429133.40110831
+        assert result.log_likelihood == log_likelihood(result.rho, records)
+
+    def test_iteration_cap_raises_convergence_error(self, rho_x):
+        records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e4, 3)
         with pytest.raises(ConvergenceError) as err:
-            reconstruct_mle(records)
+            reconstruct_mle(records, max_iterations=1)
         message = str(err.value)
-        assert "10000" not in message
-        assert "status 2 (ABNORMAL" in message
-        assert f"after {err.value.best.iterations} iterations" in message
+        assert err.value.best.iterations == 1
+        assert "after 1 iterations" in message
         assert "gradient max-norm" in message
+        assert err.value.best.log_likelihood <= reconstruct_mle(records).log_likelihood
+
+    @hypothesis_settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["minimal16", "overcomplete36"]),
+        size=st.integers(2, 5),
+        scale=st.sampled_from([5, 200, 100_000]),
+    )
+    def test_stacked_solve_equals_single_solves(self, seed, kind, size, scale):
+        rng = np.random.default_rng(seed)
+        vectors = _vectors(standard_settings(kind))
+        counts = rng.integers(0, scale, size=(size, len(vectors))).astype(float)
+        counts[:, 0] += 1.0
+        exposures = np.ones(len(vectors))
+        stacked = _mle(vectors, counts, exposures)
+        for b, result in enumerate(stacked):
+            single = _mle(vectors, counts[b : b + 1], exposures)[0]
+            assert result.rho.matrix.tobytes() == single.rho.matrix.tobytes()
+            assert result.log_likelihood == single.log_likelihood
+            assert result.iterations == single.iterations
+            assert min_eigenvalue(result.rho) >= 0.0
+            assert abs(np.trace(result.rho.matrix) - 1.0) <= 1e-12
 
     def test_fidelity_improves_with_counts(self, ket_x, rho_x):
         settings = standard_settings("overcomplete36")
