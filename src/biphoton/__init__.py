@@ -50,7 +50,6 @@ from .timecorr import (
     fit_beats,
     fit_single,
     g2_beats,
-    g2_beats_from_amplitudes,
     g2_single,
     simulate_histogram,
 )

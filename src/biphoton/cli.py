@@ -92,13 +92,14 @@ def _parse_quantum(token: str):
 
 def _load_ket(path: str) -> BiphotonKet:
     """Accept either a bare ket JSON or the payload written by `predict`."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if "amplitudes" in data:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and "ket_circular" in data:
+            data = data["ket_circular"]
         return polstate.ket_from_dict(data)
-    if "ket_circular" in data:
-        return polstate.ket_from_dict(data["ket_circular"])
-    raise ValueError(f"{path} does not contain a biphoton ket")
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a biphoton ket: {exc}") from None
 
 
 def _state_from_args(args) -> tuple[BiphotonKet, list[str]]:

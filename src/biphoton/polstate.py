@@ -394,9 +394,11 @@ def _c2p(z: complex) -> list[float]:
 
 
 def _p2c(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        re, im = pair if isinstance(pair, (list, tuple)) else ()
+        return complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}") from None
 
 
 def projector_to_dict(proj: Projector) -> dict:
@@ -423,11 +425,12 @@ def ket_to_dict(ket: BiphotonKet) -> dict:
 
 
 def ket_from_dict(data: dict) -> BiphotonKet:
-    amps = data["amplitudes"]
-    if len(amps) != 4:
-        raise ValueError("biphoton ket needs exactly 4 amplitudes")
+    """Ket from ``{"basis": ..., "amplitudes": [[re, im] x 4]}``; ValueError if malformed."""
+    amps = data.get("amplitudes") if isinstance(data, dict) else None
+    if not isinstance(amps, list) or len(amps) != 4:
+        raise ValueError("a biphoton ket needs a 'basis' and an 'amplitudes' list of 4 [re, im] pairs")
     return BiphotonKet(
-        np.array([_p2c(a) for a in amps], dtype=complex), _check_basis(data["basis"])
+        np.array([_p2c(a) for a in amps], dtype=complex), _check_basis(data.get("basis"))
     )
 
 

@@ -3,10 +3,10 @@
 The single-path model is a rising/falling exponential around zero delay; the
 two-path model adds the interference of two decay amplitudes with different
 coherence times and a frequency splitting, which modulates the coincidence
-rate ("quantum beats").  Expected bin contents are always the model averaged
-over the bin with midpoint sub-sampling, never a bin-center evaluation: with
-nanosecond bins and few-nanosecond decay times the center-evaluation bias is
-measurable.
+rate ("quantum beats").  Expected bin contents are the model integrated
+exactly over each bin, never a bin-center value.  Fits maximize the Poisson
+likelihood of the counts by damped Fisher scoring; ``chi2`` is the Poisson
+deviance and ``iterations`` counts the scoring steps.
 
 Histogram CSV format: header ``bin_start_ns,counts`` ('#' comment lines may
 precede it).  Fit reports serialize as {params, sigmas, chi2_reduced, n_dof,
@@ -15,6 +15,7 @@ converged, iterations}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,11 +39,9 @@ __all__ = [
     "fit_beats",
     "fit_single",
     "g2_beats",
-    "g2_beats_from_amplitudes",
     "g2_single",
     "read_histogram_csv",
     "simulate_histogram",
-    "slice_histogram",
     "write_histogram_csv",
 ]
 
@@ -147,33 +146,6 @@ def g2_beats(dt, params: BeatModelParams):
     return _scalarize(dt, out)
 
 
-def g2_beats_from_amplitudes(dt, params: BeatModelParams, omega_idler: float = 0.0):
-    """|c_x + c_y|^2 + background, from the complex path amplitudes directly.
-
-    The relative phase enters as the factor e^{i phi} on the second path and
-    the optical rotation is taken with positive sign, which together produce
-    the cos(delta dt + phi) cross term.  The common optical frequency
-    ``omega_idler`` cancels in the modulus and may be set to anything; the
-    function serves as the independent oracle for :func:`g2_beats`.
-    """
-    t = np.asarray(dt, dtype=float)
-    pos = np.maximum(t, 0.0)
-    theta = (t >= 0.0).astype(float)
-    c_x = theta * params.g0 * np.exp(-pos / (2.0 * params.tau_x) + 1j * omega_idler * pos)
-    c_y = (
-        theta
-        * params.g0
-        * params.r
-        * np.exp(
-            -pos / (2.0 * params.tau_y)
-            + 1j * (omega_idler + params.delta) * pos
-            + 1j * params.phi
-        )
-    )
-    out = np.abs(c_x + c_y) ** 2 + params.background
-    return _scalarize(dt, out)
-
-
 def beat_contrast(params: BeatModelParams) -> float:
     """Zero-delay modulation depth 2r / (1 + r^2) of the interference term.
 
@@ -220,37 +192,79 @@ class CoincidenceHistogram:
         return self.bin_starts + 0.5 * self.bin_width
 
 
-def slice_histogram(hist: CoincidenceHistogram, t_lo: float, t_hi: float) -> CoincidenceHistogram:
-    """Restrict to bins fully inside [t_lo, t_hi]."""
-    starts = hist.bin_starts
-    keep = (starts >= t_lo - 1e-12) & (starts + hist.bin_width <= t_hi + 1e-12)
-    if keep.sum() < 2:
-        raise ValueError("slice must keep at least 2 bins")
-    first = int(np.argmax(keep))
-    return CoincidenceHistogram(
-        hist.bin_width,
-        float(starts[first]),
-        hist.counts[keep],
-        dict(hist.metadata),
-    )
+def _single_means(edges, width, values, names=()):
+    """Exact bin means of the single-path model, ``values`` = (g0, tau_rise,
+    tau_decay, background), between ``edges``; with ``names`` also the Jacobian
+    by those names and ``offset`` (the model shifted to later delays)."""
+    g0, tau_rise, tau_decay, background = values
+    before, after = np.minimum(edges, 0.0), np.maximum(edges, 0.0)
+    rise, fall = np.exp(before / tau_rise), np.exp(-after / tau_decay)
+    shape = (tau_rise * np.diff(rise) - tau_decay * np.diff(fall)) / width
+    mu = g0 * shape + background
+    if not names:
+        return mu
+    scale = g0 / width
+    columns = {
+        "g0": shape,
+        "tau_rise": scale * np.diff(rise * (1.0 - before / tau_rise)),
+        "tau_decay": -scale * np.diff(fall * (1.0 + after / tau_decay)),
+        "background": np.ones_like(mu),
+        "offset": -scale * np.diff(rise * fall),
+    }
+    return mu, np.column_stack([columns[name] for name in names])
 
 
-_SUBSAMPLES = 8
+def _beats_means(edges, width, values, names=()):
+    """As _single_means for the two-path model, ``values`` = _BEAT_FIELDS with g0^2
+    for g0 (and column ``g0`` by g0^2).  The cross term integrates as
+    Re[e^{i phi} int e^{-k t} dt] with k = 1/(2 tau_x) + 1/(2 tau_y) - i delta."""
+    g0_squared, tau_x, tau_y, r, phi, delta, background = values
+    t = np.maximum(edges, 0.0)
+    k = 0.5 / tau_x + 0.5 / tau_y - 1j * delta
+    ex, ey, ek = np.exp(-t / tau_x), np.exp(-t / tau_y), np.exp(-k * t)
+    turn = cmath.exp(1j * phi)
+    cross = turn * np.diff(ek) / -k
+    shape = (-tau_x * np.diff(ex) - r * r * tau_y * np.diff(ey) + 2.0 * r * cross.real) / width
+    mu = g0_squared * shape + background
+    if not names:
+        return mu
+    scale = g0_squared / width
+    moment = turn * np.diff((k * t + 1.0) * ek) / -(k * k)  # e^{i phi} int t e^{-k t} dt
+    columns = {
+        "g0": lambda: shape,
+        "background": lambda: np.ones_like(mu),
+        "r": lambda: 2.0 * scale * (cross.real - r * tau_y * np.diff(ey)),
+        "phi": lambda: -2.0 * r * scale * cross.imag,
+        "delta": lambda: -2.0 * r * scale * moment.imag,
+        "tau_x": lambda: scale * (r * moment.real / tau_x**2 - np.diff((t / tau_x + 1.0) * ex)),
+        "tau_y": lambda: scale * r * (moment.real / tau_y**2 - r * np.diff((t / tau_y + 1.0) * ey)),
+        "offset": lambda: -scale * np.diff(
+            np.where(edges >= 0.0, ex + r * r * ey + 2.0 * r * (turn * ek).real, 0.0)),
+    }
+    return mu, np.column_stack([columns[name]() for name in names])
 
 
-def _model_fn(model):
+_BEAT_FIELDS = ("g0", "tau_x", "tau_y", "r", "phi", "delta", "background")
+
+
+_SINGLE_FIELDS = ("g0", "tau_rise", "tau_decay", "background")
+
+
+def _model_values(model):
+    """The bin-means function, field names and values of a model (g0^2 for beats)."""
     if isinstance(model, SinglePathParams):
-        return lambda t: g2_single(t, model)
+        return _single_means, _SINGLE_FIELDS, np.array([getattr(model, f) for f in _SINGLE_FIELDS])
     if isinstance(model, BeatModelParams):
-        return lambda t: g2_beats(t, model)
+        values = np.array([getattr(model, f) for f in _BEAT_FIELDS])
+        values[0] **= 2
+        return _beats_means, _BEAT_FIELDS, values
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _bin_means(fn, t_start: float, n_bins: int, bin_width: float,
-               subsamples: int = _SUBSAMPLES) -> np.ndarray:
-    offsets = (np.arange(subsamples) + 0.5) * (bin_width / subsamples)
-    starts = t_start + bin_width * np.arange(n_bins)
-    return np.asarray(fn(starts[:, None] + offsets[None, :])).mean(axis=1)
+def _bin_means(model, t_start: float, n_bins: int, bin_width: float) -> np.ndarray:
+    """Expected counts per bin: the model integrated over each bin, divided by its width."""
+    means, _, values = _model_values(model)
+    return means(t_start + bin_width * np.arange(n_bins + 1), bin_width, values)
 
 
 def simulate_histogram(
@@ -258,23 +272,19 @@ def simulate_histogram(
     bin_width: float,
     t_range: tuple[float, float],
     seed: int,
-    *,
-    subsamples: int = _SUBSAMPLES,
 ) -> CoincidenceHistogram:
-    """Poisson-sample a histogram whose bin expectations are bin-averaged model values."""
+    """Poisson-sample a histogram whose bin expectations are the exact bin means."""
     t_lo, t_hi = t_range
     if not t_hi > t_lo:
         raise ValueError("t_range must be ordered")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    if subsamples < 8:
-        raise ValueError("at least 8 sub-samples per bin are required")
     n_bins = int(round((t_hi - t_lo) / bin_width))
     if n_bins < 2:
         raise ValueError("t_range must cover at least 2 bins")
-    mu = _bin_means(_model_fn(model), t_lo, n_bins, bin_width, subsamples)
+    mu = _bin_means(model, t_lo, n_bins, bin_width)
     counts = np.random.default_rng(seed).poisson(mu)
-    metadata = {"seed": seed, "model": type(model).__name__, "subsamples": subsamples}
+    metadata = {"seed": seed, "model": type(model).__name__}
     return CoincidenceHistogram(bin_width, t_lo, counts.astype(float), metadata)
 
 
@@ -308,7 +318,8 @@ def convolve_jitter(model_fn, sigma: float, *, n_nodes: int = 601, half_width: f
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best-fit parameters with 1-sigma uncertainties from the weighted normal matrix."""
+    """Best fit, 1-sigma uncertainties from the inverse Fisher matrix, the Poisson
+    deviance 2 sum(mu - n + n ln(n/mu)) as ``chi2``, and the scoring steps tried."""
 
     params: SinglePathParams | BeatModelParams
     sigmas: dict[str, float]
@@ -335,27 +346,60 @@ class FitResult:
         }
 
 
-def _weighted_residuals(hist: CoincidenceHistogram, fn) -> np.ndarray:
-    mu = _bin_means(fn, hist.t_start, hist.n_bins, hist.bin_width)
-    weights = 1.0 / np.sqrt(np.maximum(hist.counts, 1.0))
-    return (mu - hist.counts) * weights
+# A scoring step stops the fit when even undamped it would gain at most this
+# many nats; the likelihood's rounding is far below it.
+_GAIN_TOL = 1e-10
+_MAX_STEPS = 200
+_TINY = np.finfo(float).tiny  # a smaller (subnormal) mean counts as 0
 
 
-def _covariance(jac: np.ndarray) -> np.ndarray:
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= s[0] * 1e-12:
+def _scaled_svd(weighted: np.ndarray):
+    """Column norms, singular values and V^T of the Jacobi-scaled weighted Jacobian."""
+    norms = np.sqrt(np.einsum("ij,ij->j", weighted, weighted))
+    norms[norms == 0.0] = 1.0  # a zero column gives a zero singular value
+    _, s, vt = np.linalg.svd(weighted / norms, full_matrices=False)
+    if s.size and s[-1] <= s[0] * 1e-12:
         raise FitDegenerateError("singular Jacobian: parameters not identifiable")
-    return (vt.T / s**2) @ vt
+    return norms, s, vt
 
 
-def _run_least_squares(residual_fn, x0: np.ndarray):
-    from scipy.optimize import least_squares
+def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
+    """Maximize sum(n ln mu - mu) over x >= lower by damped Fisher scoring.
 
-    res = least_squares(
-        residual_fn, x0, method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12,
-        max_nfev=20_000,
-    )
-    return res
+    ``means(x)`` gives the bin means and their Jacobian.  One SVD of the
+    Jacobi-scaled J/sqrt(mu) per accepted point serves every Levenberg
+    damping tried there; bins with mean 0 have weight 0, and a parameter at
+    its bound with the gradient pointing out is held.  Returns x, its means
+    and weighted Jacobian, the steps tried, and None or why it stopped.
+    """
+    x = np.maximum(np.asarray(x0, dtype=float), lower)
+    mu, jac = means(x)
+    seen = counts > 0.0
+    if np.any(mu[seen] <= 0.0):
+        raise ValueError("the starting model has a zero mean in a bin with counts")
+    damping, accepted = 1e-3, True
+    for steps in range(_MAX_STEPS + 1):
+        if accepted:
+            inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > _TINY)
+            weighted = jac * np.sqrt(inv)[:, None]
+            grad = jac.T @ (counts * inv - 1.0)
+            free = (x > lower) | (grad > 0.0)
+            norms, s, vt = _scaled_svd(weighted[:, free])
+            c = vt @ (grad[free] / norms) / s
+            if 0.5 * (c @ c) <= _GAIN_TOL:
+                return x, mu, weighted, steps, None
+        if steps == _MAX_STEPS or damping > 1e16:
+            return x, mu, weighted, steps, f"stopped after {steps} steps at damping {damping:.3g}"
+        trial = x.copy()
+        trial[free] += vt.T @ (c * s / (s * s + damping)) / norms
+        np.maximum(trial, lower, out=trial)
+        mu_trial, jac_trial = means(trial)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = counts[seen] @ np.log(mu_trial[seen] / mu[seen]) - np.sum(mu_trial - mu)
+        accepted = gain > 0.0
+        if accepted:
+            x, mu, jac = trial, mu_trial, jac_trial
+        damping *= 0.1 if accepted else 10.0
 
 
 def estimate_single_init(hist: CoincidenceHistogram) -> SinglePathParams:
@@ -367,18 +411,15 @@ def estimate_single_init(hist: CoincidenceHistogram) -> SinglePathParams:
     g0 = max(float(counts[peak_idx]) - background, 1.0)
     excess = np.clip(counts - background, 0.0, None)
     t_peak = centers[peak_idx]
-    after = centers > t_peak
-    before = centers < t_peak
-    tau_decay = 1.0
-    if excess[after].sum() > 0:
-        tau_decay = float(
-            np.sum(excess[after] * (centers[after] - t_peak)) / excess[after].sum()
-        )
-    tau_rise = 1.0
-    if excess[before].sum() > 0:
-        tau_rise = float(
-            np.sum(excess[before] * (t_peak - centers[before])) / excess[before].sum()
-        )
+
+    def mean_distance(side: np.ndarray, sign: float) -> float:
+        weight = excess[side]
+        if weight.sum() > 0:
+            return float(np.sum(weight * (sign * (centers[side] - t_peak))) / weight.sum())
+        return 1.0
+
+    tau_decay = mean_distance(centers > t_peak, 1.0)
+    tau_rise = mean_distance(centers < t_peak, -1.0)
     return SinglePathParams(
         g0=g0,
         tau_rise=max(tau_rise, 0.1 * hist.bin_width),
@@ -387,7 +428,57 @@ def estimate_single_init(hist: CoincidenceHistogram) -> SinglePathParams:
     )
 
 
-_SINGLE_FREE = ("g0", "tau_rise", "tau_decay", "background")
+# Lower bounds of the fitted values; at g0 = 0 the shape is not identifiable.
+_LOWER = {"g0": 0.0, "tau_rise": 1e-6, "tau_decay": 1e-6, "tau_x": 1e-6, "tau_y": 1e-6,
+          "r": 0.0, "phi": -math.inf, "delta": 1e-6, "background": 0.0, "offset": -math.inf}
+
+
+def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult:
+    """Maximize the likelihood of ``hist`` over the ``free`` fields of ``model``
+    (and a time offset); the other fields stay fixed."""
+    means, fields, values = _model_values(model)
+    if "background" in free:
+        # At background 0 a bin the signal leaves empty (before zero delay in
+        # the beats model) has mean 0, and a count there likelihood -inf; from
+        # a small positive start the first scoring step sizes the background.
+        values[-1] = max(values[-1], 1e-6)
+    index = [fields.index(name) for name in free]
+    names = list(free) + (["offset"] if fit_offset else [])
+
+    def evaluate(x):
+        v = values.copy()
+        v[index] = x[:len(index)]
+        offset = x[-1] if fit_offset else 0.0
+        edges = hist.t_start - offset + hist.bin_width * np.arange(hist.n_bins + 1)
+        return means(edges, hist.bin_width, v, names)
+
+    x0 = list(values[index]) + ([0.0] if fit_offset else [])
+    lower = np.array([_LOWER[name] for name in names])
+    x, mu, weighted, steps, stop = _maximize(hist.counts, x0, lower, evaluate)
+    norms, s, vt = _scaled_svd(weighted)
+    sigmas = dict(zip(names, (np.sqrt(np.diag((vt.T / s**2) @ vt)) / norms).tolist()))
+    fitted = dict(zip(free, x.tolist()))
+    if isinstance(model, BeatModelParams):  # the fit ran on g0^2
+        fitted["g0"] = g0 = math.sqrt(max(fitted["g0"], 1e-30))
+        sigmas["g0_squared"] = sigmas["g0"]
+        sigmas["g0"] = sigmas["g0"] / (2.0 * g0) if g0 > 1e-12 else math.inf
+    n = hist.counts
+    seen = n > 0.0
+    chi2 = 2.0 * float(np.sum(mu - n) + n[seen] @ np.log(n[seen] / mu[seen]))
+    n_dof = hist.n_bins - len(names)
+    result = FitResult(
+        params=replace(model, **fitted),
+        sigmas=sigmas,
+        chi2=chi2,
+        chi2_reduced=chi2 / max(n_dof, 1),
+        n_dof=n_dof,
+        converged=stop is None,
+        iterations=steps,
+        offset=float(x[-1]) if fit_offset else 0.0,
+    )
+    if stop is not None:
+        raise FitConvergenceError(f"fit did not converge: {stop}", best=result)
+    return result
 
 
 def fit_single(
@@ -396,57 +487,18 @@ def fit_single(
     *,
     fit_offset: bool = False,
 ) -> FitResult:
-    """Poisson-weighted Levenberg-Marquardt fit of the single-path model.
+    """Poisson maximum-likelihood fit of the single-path model.
 
-    Weights are 1/max(n, 1) per bin.  The histogram must cover both sides of
-    zero delay.  With ``fit_offset`` an additional time-offset parameter is
-    freed (the time axis is otherwise taken as exact).
+    The histogram must cover both sides of zero delay.  With ``fit_offset``
+    an additional time-offset parameter is freed (the time axis is otherwise
+    taken as exact).
     """
     if not (hist.t_start < 0.0 < hist.t_stop):
         raise ValueError("histogram must cover both sides of zero delay")
-
-    names = list(_SINGLE_FREE) + (["offset"] if fit_offset else [])
-    x0 = np.array([init.g0, init.tau_rise, init.tau_decay, init.background]
-                  + ([0.0] if fit_offset else []))
-
-    def build(x: np.ndarray):
-        params = SinglePathParams(
-            g0=max(x[0], 1e-12),
-            tau_rise=max(x[1], 1e-6),
-            tau_decay=max(x[2], 1e-6),
-            # |x| rather than a clamp at 0, whose Jacobian column vanishes below 0
-            background=abs(x[3]),
-        )
-        offset = x[4] if fit_offset else 0.0
-        return params, offset
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        params, offset = build(x)
-        return _weighted_residuals(hist, lambda t: g2_single(t - offset, params))
-
-    res = _run_least_squares(residual, x0)
-    params, offset = build(res.x)
-    cov = _covariance(res.jac)
-    sigmas = {name: float(math.sqrt(cov[i, i])) for i, name in enumerate(names)}
-    chi2 = float(np.sum(res.fun**2))
-    n_dof = hist.n_bins - len(names)
-    result = FitResult(
-        params=params,
-        sigmas=sigmas,
-        chi2=chi2,
-        chi2_reduced=chi2 / max(n_dof, 1),
-        n_dof=n_dof,
-        converged=res.status > 0,
-        iterations=int(res.nfev),
-        offset=float(offset),
-    )
-    if res.status <= 0:
-        raise FitConvergenceError(f"fit did not converge: {res.message}", best=result)
-    return result
+    return _fit(hist, init, _SINGLE_FIELDS, fit_offset)
 
 
 _BEAT_FREE_DEFAULT = ("g0", "background")
-_BEAT_UNLOCKABLE = ("g0", "background", "r", "phi", "delta")
 
 
 def fit_beats(
@@ -456,7 +508,7 @@ def fit_beats(
     free: tuple[str, ...] = _BEAT_FREE_DEFAULT,
     fit_offset: bool = False,
 ) -> FitResult:
-    """Fit the two-path model with fixed shape parameters.
+    """Poisson maximum-likelihood fit of the two-path model with fixed shape parameters.
 
     ``params`` provides the fixed values (coherence times, relative
     amplitude and phase, beat frequency) and the starting values for the
@@ -469,7 +521,7 @@ def fit_beats(
     delta-method ``g0`` entry when the amplitude is nonzero.
     """
     for name in free:
-        if name not in _BEAT_UNLOCKABLE + ("tau_x", "tau_y"):
+        if name not in _BEAT_FIELDS:
             raise ValueError(f"unknown free parameter {name!r}")
     if "g0" not in free:
         raise ValueError("the amplitude scale g0 must be free")
@@ -479,65 +531,7 @@ def fit_beats(
             f"histogram spans {periods:.2f} beat periods; at least 3 are required"
         )
 
-    names = list(free) + (["offset"] if fit_offset else [])
-
-    def pack() -> np.ndarray:
-        vals = []
-        for name in free:
-            if name == "g0":
-                vals.append(params.g0**2)
-            else:
-                vals.append(getattr(params, name))
-        if fit_offset:
-            vals.append(0.0)
-        return np.array(vals, dtype=float)
-
-    def build(x: np.ndarray):
-        updates = {}
-        for name, value in zip(free, x):
-            if name == "g0":
-                updates["g0"] = math.sqrt(max(float(value), 1e-30))
-            elif name == "background":
-                updates["background"] = abs(float(value))  # as in fit_single
-            elif name in ("tau_x", "tau_y"):
-                updates[name] = max(float(value), 1e-6)
-            elif name == "delta":
-                updates[name] = max(float(value), 1e-6)
-            else:
-                updates[name] = float(value)
-        offset = x[len(free)] if fit_offset else 0.0
-        return replace(params, **updates), offset
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        p, offset = build(x)
-        return _weighted_residuals(hist, lambda t: g2_beats(t - offset, p))
-
-    res = _run_least_squares(residual, pack())
-    fitted, offset = build(res.x)
-    cov = _covariance(res.jac)
-    sigmas = {}
-    for i, name in enumerate(names):
-        sig = float(math.sqrt(cov[i, i]))
-        if name == "g0":
-            sigmas["g0_squared"] = sig
-            sigmas["g0"] = sig / (2.0 * fitted.g0) if fitted.g0 > 1e-12 else math.inf
-        else:
-            sigmas[name] = sig
-    chi2 = float(np.sum(res.fun**2))
-    n_dof = hist.n_bins - len(names)
-    result = FitResult(
-        params=fitted,
-        sigmas=sigmas,
-        chi2=chi2,
-        chi2_reduced=chi2 / max(n_dof, 1),
-        n_dof=n_dof,
-        converged=res.status > 0,
-        iterations=int(res.nfev),
-        offset=float(offset),
-    )
-    if res.status <= 0:
-        raise FitConvergenceError(f"fit did not converge: {res.message}", best=result)
-    return result
+    return _fit(hist, params, free, fit_offset)
 
 
 # ---------------------------------------------------------------------------

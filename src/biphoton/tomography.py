@@ -197,21 +197,19 @@ _DIAG = np.arange(4)
 
 
 def _design(vectors: np.ndarray) -> np.ndarray:
-    """<v|B|v> for every analyzer ket v (rows) and basis operator B (columns).
-
-    Raises :class:`SpanError` unless the rows span all 16 operators.
-    """
+    """<v|B|v> for every analyzer ket v (rows) and basis operator B (columns)."""
     a, b = _PAIRS
     cross = vectors[:, a].conj() * vectors[:, b]
     design = np.empty((len(vectors), 16))
     design[:, :4] = vectors.real**2 + vectors.imag**2
     design[:, 4::2] = 2.0 * cross.real
     design[:, 5::2] = 2.0 * cross.imag
-    if np.linalg.matrix_rank(design) < 16:
-        raise SpanError(
-            "measurement settings do not span the 16-dimensional operator space"
-        )
     return design
+
+
+def _require_span(rank: int) -> None:
+    if rank < 16:
+        raise SpanError("measurement settings do not span the 16-dimensional operator space")
 
 
 def _operators(coeffs: np.ndarray) -> np.ndarray:
@@ -225,7 +223,8 @@ def _operators(coeffs: np.ndarray) -> np.ndarray:
 
 def _linear_estimate(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Unnormalized least-squares operator estimate (flux times state)."""
-    coeffs, *_ = np.linalg.lstsq(design, rates, rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
+    _require_span(rank)
     return _operators(coeffs)
 
 
@@ -417,8 +416,12 @@ def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
 
 def _mle_seed(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Starting parameters (B, 16) for the rates (B, n): the linear estimate
-    projected onto the states and mixed with 1% of I/4."""
-    est = _operators((np.linalg.pinv(design) @ rates[:, :, None])[..., 0])
+    projected onto the states and mixed with 1% of I/4.  One SVD of the design
+    gives its rank and its pseudo-inverse, with matrix_rank's and pinv's cutoffs."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    _require_span(np.count_nonzero(s > s.max() * max(design.shape) * np.finfo(s.dtype).eps))
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max())
+    est = _operators((vt.T @ (inverse[:, None] * u.T) @ rates[:, :, None])[..., 0])
     trace = np.trace(est, axis1=1, axis2=2).real[:, None, None]
     mat = np.where(trace > 0.0, est / np.where(trace > 0.0, trace, 1.0), np.eye(4) / 4.0)
     evals, evecs = np.linalg.eigh(mat)

@@ -31,9 +31,9 @@ from biphoton.timecorr import (
     fit_beats,
     fit_single,
     g2_beats,
-    g2_beats_from_amplitudes,
     simulate_histogram,
 )
+from conftest import g2_beats_from_amplitudes
 from biphoton.tomography import (
     CountsRecord,
     expected_probability,

@@ -161,6 +161,17 @@ class TestTomographyPipeline:
         assert code == 1
         assert err.startswith("error: line 6, field 'counts'")
 
+    @pytest.mark.parametrize("content", ["5", '{"amplitudes": 3}', "not json"],
+                             ids=["number", "amplitudes-number", "not-json"])
+    def test_malformed_ket_file_names_file(self, capsys, tmp_path, content):
+        ket = tmp_path / "ket.json"
+        ket.write_text(content + "\n")
+        out = tmp_path / "counts.csv"
+        code, _, err = run(capsys, "simulate-tomo", "--ket", str(ket), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and str(ket) in err
+        assert not out.exists()
+
 
 class TestG2Pipeline:
     def test_preset_simulation_and_fit(self, capsys, tmp_path, monkeypatch):

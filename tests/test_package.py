@@ -1,4 +1,4 @@
-"""Package-level checks: import cost, scipy-free tomography and the demo scripts."""
+"""Package-level checks: import cost, a scipy-free package and the demo scripts."""
 
 import os
 import subprocess
@@ -34,6 +34,28 @@ def test_tomography_runs_without_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_histogram_fits_run_without_scipy(tmp_path):
+    code = (
+        "import sys, biphoton as bp\n"
+        "from biphoton import cli, timecorr\n"
+        "for name in ('fig2x', 'fig3'):\n"
+        "    p = bp.FIGURE_PRESETS[name]\n"
+        "    hist = bp.simulate_histogram(p.model, p.bin_width, p.t_range, 5)\n"
+        "    if name == 'fig2x':\n"
+        "        bp.fit_single(hist, timecorr.estimate_single_init(hist))\n"
+        "    else:\n"
+        "        bp.fit_beats(hist, p.model)\n"
+        "        bp.fit_beats(hist, p.model, free=('g0', 'background', 'r', 'phi', 'delta'))\n"
+        "assert cli.main(['simulate-g2', '--preset', 'fig3', '--seed', '5', '--out', 'h.csv']) == 0\n"
+        "assert cli.main(['fit-g2', '--hist', 'h.csv', '--preset', 'fig3', '--out', 'f.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -5,30 +5,31 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
+from biphoton import timecorr
 from biphoton.csvio import FileFormatError
 from biphoton.timecorr import (
     DEFAULT_DELTA,
     FIGURE_PRESETS,
     BeatModelParams,
     CoincidenceHistogram,
+    FitConvergenceError,
     FitDegenerateError,
     SinglePathParams,
     _bin_means,
+    _model_values,
     beat_contrast,
     convolve_jitter,
     estimate_single_init,
     fit_beats,
     fit_single,
     g2_beats,
-    g2_beats_from_amplitudes,
     g2_single,
     read_histogram_csv,
     simulate_histogram,
-    slice_histogram,
     write_histogram_csv,
 )
+from conftest import g2_beats_from_amplitudes
 
 
 def random_beat_params(rng: np.random.Generator) -> BeatModelParams:
@@ -93,8 +94,10 @@ class TestBeatModel:
         minima = []
         for i in range(1, len(t) - 1):
             if v[i] < v[i - 1] and v[i] < v[i + 1]:
-                res = minimize_scalar(f, bracket=(t[i - 1], t[i], t[i + 1]))
-                minima.append(res.x)
+                # vertex of the parabola through the grid minimum and its neighbours
+                h = t[i + 1] - t[i]
+                curvature = v[i - 1] - 2.0 * v[i] + v[i + 1]
+                minima.append(t[i] + 0.5 * h * (v[i - 1] - v[i + 1]) / curvature)
         spacings = np.diff(minima)
         assert len(spacings) >= 4
         assert np.max(np.abs(spacings - 2 * math.pi / model.delta)) < 0.05
@@ -147,7 +150,7 @@ class TestSimulateHistogram:
     def test_bin_means_match_law_of_large_numbers(self):
         model = SinglePathParams(g0=200.0, tau_rise=3.1, tau_decay=5.6,
                                  background=4.0)
-        mu = _bin_means(lambda t: g2_single(t, model), -10.0, 30, 1.0)
+        mu = _bin_means(model, -10.0, 30, 1.0)
         acc = np.zeros_like(mu)
         n_seeds = 100
         for seed in range(n_seeds):
@@ -162,18 +165,45 @@ class TestSimulateHistogram:
         b = simulate_histogram(model, 0.25, (-5.0, 30.0), seed=5)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_requires_at_least_8_subsamples(self):
-        model = FIGURE_PRESETS["fig2x"].model
-        with pytest.raises(ValueError):
-            simulate_histogram(model, 1.0, (-5.0, 5.0), seed=0, subsamples=4)
-
     def test_bin_averaging_differs_from_center_evaluation(self):
         # with 1 ns bins and a 5.6 ns decay, center evaluation is biased
         model = SinglePathParams(g0=1000.0, tau_rise=3.1, tau_decay=5.6)
-        mu = _bin_means(lambda t: g2_single(t, model), 0.0, 10, 1.0)
+        mu = _bin_means(model, 0.0, 10, 1.0)
         centers = np.arange(10) + 0.5
         center_vals = g2_single(centers, model)
         assert np.max(np.abs(mu - center_vals) / center_vals) > 1e-3
+
+
+class TestBinMeans:
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_match_fine_midpoint_average(self, name):
+        preset = FIGURE_PRESETS[name]
+        model, width, t_start = preset.model, preset.bin_width, preset.t_range[0]
+        n_bins = int(round((preset.t_range[1] - t_start) / width))
+        density = g2_single if isinstance(model, SinglePathParams) else g2_beats
+        t = t_start + width * (np.arange(n_bins)[:, None] + (np.arange(4000) + 0.5) / 4000)
+        fine = density(t, model).mean(axis=1)
+        assert np.allclose(_bin_means(model, t_start, n_bins, width), fine, rtol=1e-7, atol=0.0)
+
+    @pytest.mark.parametrize("model", [
+        SinglePathParams(g0=1500.0, tau_rise=3.1, tau_decay=5.6, background=8.0),
+        BeatModelParams(g0=20.0, tau_x=5.6, tau_y=13.1, r=0.8, phi=0.7, background=5.0),
+    ])
+    def test_jacobian_matches_central_differences(self, model):
+        means, fields, values = _model_values(model)
+        names = list(fields) + ["offset"]
+        edges = -5.0 + 0.37 * np.arange(81)
+        _, jac = means(edges, 0.37, values, names)
+        for j, name in enumerate(names):
+            if name == "offset":
+                h = 1e-6
+                plus, minus = means(edges - h, 0.37, values), means(edges + h, 0.37, values)
+            else:
+                h = 1e-6 * abs(values[j])
+                step = np.eye(len(values))[j] * h
+                plus, minus = means(edges, 0.37, values + step), means(edges, 0.37, values - step)
+            numeric = (plus - minus) / (2.0 * h)
+            assert np.allclose(jac[:, j], numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()), name
 
 
 class TestConvolveJitter:
@@ -232,11 +262,7 @@ class TestConvolveJitter:
 def noiseless_histogram(model, bin_width, t_range) -> CoincidenceHistogram:
     t_lo, t_hi = t_range
     n_bins = int(round((t_hi - t_lo) / bin_width))
-    if isinstance(model, SinglePathParams):
-        fn = lambda t: g2_single(t, model)
-    else:
-        fn = lambda t: g2_beats(t, model)
-    mu = _bin_means(fn, t_lo, n_bins, bin_width)
+    mu = _bin_means(model, t_lo, n_bins, bin_width)
     return CoincidenceHistogram(bin_width, t_lo, mu)
 
 
@@ -310,6 +336,14 @@ class TestFitSingle:
             "tau_decay"
         ]
 
+    def test_step_cap_raises_with_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(timecorr, "_MAX_STEPS", 1)
+        hist = simulate_histogram(FIGURE_PRESETS["fig2x"].model, 1.0, (-25.0, 50.0), seed=3)
+        with pytest.raises(FitConvergenceError) as err:
+            fit_single(hist, estimate_single_init(hist))
+        assert "after 1 steps" in str(err.value)
+        assert err.value.best.iterations == 1 and not err.value.best.converged
+
     def test_fits_zero_background(self):
         # A step that takes the background below zero must not freeze it there.
         truth = SinglePathParams(g0=1000.0, tau_rise=3.1, tau_decay=5.6)
@@ -343,7 +377,7 @@ class TestFitBeats:
                                  background=10.0)
         hist = simulate_histogram(truth, 0.5, (-20.0, 50.0), seed=17)
         single = fit_single(hist, estimate_single_init(hist))
-        positive = slice_histogram(hist, 0.0, 50.0)
+        positive = CoincidenceHistogram(hist.bin_width, 0.0, hist.counts[hist.bin_starts >= 0.0])
         base = BeatModelParams(g0=30.0, tau_x=6.0, tau_y=13.1, r=0.0, phi=0.0,
                                background=5.0)
         beats = fit_beats(positive, base, free=("g0", "background", "tau_x"))
@@ -397,6 +431,35 @@ class TestFitBeats:
             fit_beats(hist, model, free=("g0", "wavelength"))
 
 
+class TestFitCalibration:
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_mean_z_scores_near_zero(self, name):
+        # 200 histograms drawn from the exact bin means, each preset fitted
+        # with its default free set; z = (fitted - true) / reported sigma.
+        preset = FIGURE_PRESETS[name]
+        model = preset.model
+        z = {}
+        for seed in range(200):
+            hist = simulate_histogram(model, preset.bin_width, preset.t_range, seed)
+            if isinstance(model, SinglePathParams):
+                fit = fit_single(hist, estimate_single_init(hist))
+            else:
+                fit = fit_beats(hist, model)
+            for param, sigma in fit.sigmas.items():
+                if param != "g0_squared":
+                    z.setdefault(param, []).append(
+                        (getattr(fit.params, param) - getattr(model, param)) / sigma
+                    )
+        assert "background" in z
+        for param, values in z.items():
+            values = np.array(values)
+            if param == "background":
+                # Neyman (1/n) weights put it 11-30 standard errors low here
+                assert abs(values.mean()) <= 3.0 * values.std(ddof=1) / math.sqrt(values.size)
+            else:
+                assert abs(values.mean()) <= 0.3, param
+
+
 class TestHistogramCsv:
     def test_round_trip(self, tmp_path):
         hist = simulate_histogram(FIGURE_PRESETS["fig2x"].model, 1.0, (-25.0, 50.0),
@@ -442,21 +505,6 @@ class TestHistogramCsv:
         path.write_text("bin_start_ns,counts\n0.0,5\n1.0,6\n3.0,7\n")
         with pytest.raises(FileFormatError):
             read_histogram_csv(path)
-
-
-class TestSliceHistogram:
-    def test_keeps_requested_window(self):
-        hist = simulate_histogram(FIGURE_PRESETS["fig2x"].model, 1.0, (-10.0, 20.0),
-                                  seed=1)
-        part = slice_histogram(hist, 0.0, 10.0)
-        assert part.t_start == pytest.approx(0.0)
-        assert part.n_bins == 10
-
-    def test_too_narrow_rejected(self):
-        hist = simulate_histogram(FIGURE_PRESETS["fig2x"].model, 1.0, (-10.0, 20.0),
-                                  seed=1)
-        with pytest.raises(ValueError):
-            slice_histogram(hist, 0.0, 0.5)
 
 
 class TestPresets:
