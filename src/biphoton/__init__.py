@@ -11,7 +11,6 @@ from .angmom import (
     PATH_Y,
     AngularMomentum,
     CascadeLevels,
-    cg,
     clebsch_gordan,
     path_coupling_x,
 )

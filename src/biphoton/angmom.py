@@ -17,7 +17,6 @@ __all__ = [
     "CascadeLevels",
     "PATH_X",
     "PATH_Y",
-    "cg",
     "clebsch_gordan",
     "path_coupling_x",
 ]
@@ -188,13 +187,6 @@ def clebsch_gordan(j1: AngularMomentum, j2: AngularMomentum, j_total: AngularMom
     """
     return _cg_doubled(
         j1.two_j, j1.two_m, j2.two_j, j2.two_m, j_total.two_j, j_total.two_m
-    )
-
-
-def cg(j1, m1, j2, m2, j3, m3) -> float:
-    """Convenience wrapper taking plain quantum numbers (ints or half-ints)."""
-    return clebsch_gordan(
-        AngularMomentum.of(j1, m1), AngularMomentum.of(j2, m2), AngularMomentum.of(j3, m3)
     )
 
 

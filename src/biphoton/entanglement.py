@@ -1,8 +1,10 @@
-"""Scalar entanglement indicators for two-qubit states.
+"""Entanglement indicators for two-qubit states, on a stack of density matrices.
 
-Concurrence uses the spin-flip construction with the conjugation taken in
-the linear (H, V) basis; the result is basis-independent but pinning the
-convention keeps intermediate values reproducible.
+The single-state functions call the parts of :func:`indicator_arrays` with a
+stack of one, so a state's values are the same either way.  Concurrence uses
+the spin-flip construction with the conjugation taken in the linear (H, V)
+basis; the result is basis-independent but pinning the convention keeps
+intermediate values reproducible.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ import math
 
 import numpy as np
 
-from .polstate import LINEAR, BiphotonKet, DensityMatrix4, change_basis, density_change_basis
+from .polstate import LINEAR, BiphotonKet, DensityMatrix4, change_basis, matrices_change_basis
 
 __all__ = [
     "concurrence",
     "entanglement_of_formation",
     "eof_from_concurrence",
     "fidelity",
+    "indicator_arrays",
     "indicators",
     "purity",
 ]
@@ -26,13 +29,8 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # the i's cancel; kept real on purpose
 
 
-def purity(rho: DensityMatrix4) -> float:
-    """Tr[rho^2]: 1 for pure states, 1/4 for the maximally mixed state."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
-
-
 def _clip_dust(evals: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues indistinguishable from rounding noise.
+    """Zero out eigenvalues (..., 4), ascending, indistinguishable from rounding noise.
 
     The square root amplifies eigenvalue dust (sqrt(1e-16) = 1e-8), so
     anything below the rounding floor is treated as an exact zero.  The
@@ -40,31 +38,25 @@ def _clip_dust(evals: np.ndarray) -> np.ndarray:
     by the largest eigenvalue, because the products that build them carry
     absolute rounding errors of order machine epsilon.
     """
-    floor = 1e-14 * max(float(evals[-1]), 1.0)
+    floor = 1e-14 * np.maximum(evals[..., -1:], 1.0)
     return np.where(evals > floor, evals, 0.0)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square root with negative eigenvalue dust clamped to zero."""
-    evals, evecs = np.linalg.eigh(mat)
-    evals = _clip_dust(evals)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+def _purities(mats: np.ndarray) -> np.ndarray:
+    return np.trace(mats @ mats, axis1=-2, axis2=-1).real
 
 
-def concurrence(rho: DensityMatrix4) -> float:
-    """Two-qubit concurrence C in [0, 1].
-
-    C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasingly ordered
-    square roots of the eigenvalues of rho * rho_tilde, computed from the
-    numerically stable Hermitian form sqrt(rho) rho_tilde sqrt(rho).
-    """
-    mat = density_change_basis(rho, LINEAR).matrix
-    rho_tilde = _YY @ mat.conj() @ _YY
-    root = _psd_sqrt(mat)
+def _concurrences(linear: np.ndarray) -> np.ndarray:
+    """C = max(0, l1 - l2 - l3 - l4) of linear-basis matrices (B, 4, 4): the l_i
+    are the decreasing square roots of the eigenvalues of rho * rho_tilde, from
+    the numerically stable Hermitian form sqrt(rho) rho_tilde sqrt(rho)."""
+    rho_tilde = _YY @ linear.conj() @ _YY
+    evals, evecs = np.linalg.eigh(linear)
+    root = (evecs * np.sqrt(_clip_dust(evals))[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
     inner = root @ rho_tilde @ root
-    inner = 0.5 * (inner + inner.conj().T)
-    lams = np.sqrt(_clip_dust(np.linalg.eigvalsh(inner)))[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    inner = 0.5 * (inner + inner.conj().swapaxes(-1, -2))
+    lams = np.sqrt(_clip_dust(np.linalg.eigvalsh(inner)))[:, ::-1]
+    return np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
 
 
 def _binary_entropy(p: float) -> float:
@@ -80,6 +72,38 @@ def eof_from_concurrence(c: float) -> float:
     return _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
 
 
+def _fidelities(mats: np.ndarray, basis: str, target: BiphotonKet) -> np.ndarray:
+    # One product per state: v.conj() @ mats @ v on the whole stack rounds
+    # differently in the last place.
+    v = change_basis(target, basis).amplitudes
+    return np.array([min(1.0, max(0.0, float((v.conj() @ m @ v).real))) for m in mats])
+
+
+def indicator_arrays(mats: np.ndarray, target: BiphotonKet | None = None, basis: str = LINEAR):
+    """Purity, concurrence, entanglement of formation and, given a ``target``, fidelity
+    by name, each for every unvalidated density matrix of the stack (B, 4, 4) in
+    ``basis``; a state's values do not depend on the others in the stack."""
+    c = _concurrences(matrices_change_basis(mats, basis, LINEAR))
+    out = {
+        "purity": _purities(mats),
+        "concurrence": c,
+        "entanglement_of_formation": np.array([eof_from_concurrence(min(1.0, x)) for x in c]),
+    }
+    if target is not None:
+        out["fidelity"] = _fidelities(mats, basis, target)
+    return out
+
+
+def purity(rho: DensityMatrix4) -> float:
+    """Tr[rho^2]: 1 for pure states, 1/4 for the maximally mixed state."""
+    return float(_purities(rho.matrix[None])[0])
+
+
+def concurrence(rho: DensityMatrix4) -> float:
+    """Two-qubit concurrence C in [0, 1], by the spin-flip construction."""
+    return float(_concurrences(matrices_change_basis(rho.matrix[None], rho.basis, LINEAR))[0])
+
+
 def entanglement_of_formation(rho: DensityMatrix4) -> float:
     """Entanglement of formation E in [0, 1] via the concurrence."""
     return eof_from_concurrence(min(1.0, concurrence(rho)))
@@ -87,19 +111,9 @@ def entanglement_of_formation(rho: DensityMatrix4) -> float:
 
 def fidelity(rho: DensityMatrix4, target: BiphotonKet) -> float:
     """Pure-target fidelity <target| rho |target>, clipped into [0, 1]."""
-    v = change_basis(target, rho.basis).amplitudes
-    f = float((v.conj() @ rho.matrix @ v).real)
-    return min(1.0, max(0.0, f))
+    return float(_fidelities(rho.matrix[None], rho.basis, target)[0])
 
 
 def indicators(rho: DensityMatrix4, target: BiphotonKet | None = None) -> dict[str, float]:
-    """Purity, concurrence and entanglement of formation by name, plus the
-    fidelity to ``target`` when one is given."""
-    out = {
-        "purity": purity(rho),
-        "concurrence": concurrence(rho),
-        "entanglement_of_formation": entanglement_of_formation(rho),
-    }
-    if target is not None:
-        out["fidelity"] = fidelity(rho, target)
-    return out
+    """indicator_arrays of one state, as floats."""
+    return {name: float(v[0]) for name, v in indicator_arrays(rho.matrix[None], target, rho.basis).items()}

@@ -41,10 +41,10 @@ __all__ = [
     "ket_from_dict",
     "ket_from_path",
     "ket_to_dict",
+    "matrices_change_basis",
     "min_eigenvalue",
     "named_projector",
     "predict_path_state",
-    "projector_from_dict",
     "projector_to_dict",
 ]
 
@@ -87,10 +87,11 @@ class Projector:
     @classmethod
     def normalized(cls, c_h, c_v) -> "Projector":
         """Build from unnormalized components."""
-        norm = math.sqrt(abs(c_h) ** 2 + abs(c_v) ** 2)
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero projector")
-        return cls(complex(c_h) / norm, complex(c_v) / norm)
+        c_h, c_v = complex(c_h), complex(c_v)
+        norm = math.hypot(c_h.real, c_h.imag, c_v.real, c_v.imag)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a projector of norm {norm!r}")
+        return cls(c_h / norm, c_v / norm)
 
     def vector(self, basis: str = LINEAR) -> np.ndarray:
         """Components of the analyzed state in the requested basis."""
@@ -248,13 +249,18 @@ def change_basis(ket: BiphotonKet, target: str) -> BiphotonKet:
 
 def density_change_basis(rho: DensityMatrix4, target: str) -> DensityMatrix4:
     """Express the density matrix in the requested basis."""
-    _check_basis(target)
-    if target == rho.basis:
+    if _check_basis(target) == rho.basis:
         return rho
-    u = _pair_unitary(rho.basis, target)
-    mat = u @ rho.matrix @ u.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return DensityMatrix4(mat, target, eig_floor=rho.eig_floor)
+    return DensityMatrix4(matrices_change_basis(rho.matrix, rho.basis, target), target, eig_floor=rho.eig_floor)
+
+
+def matrices_change_basis(mats: np.ndarray, source: str, target: str) -> np.ndarray:
+    """Express Hermitian matrices (..., 4, 4) given in ``source`` in ``target``, unvalidated."""
+    if _check_basis(target) == _check_basis(source):
+        return mats
+    u = _pair_unitary(source, target)
+    mats = u @ mats @ u.conj().T
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
 
 
 def density_from_ket(ket: BiphotonKet) -> DensityMatrix4:
@@ -407,13 +413,6 @@ def projector_to_dict(proj: Projector) -> dict:
         "basis": LINEAR,
         "components": [_c2p(proj.c_h), _c2p(proj.c_v)],
     }
-
-
-def projector_from_dict(data: dict) -> Projector:
-    comps = data["components"]
-    if len(comps) != 2:
-        raise ValueError("projector needs exactly 2 components")
-    return Projector(_p2c(comps[0]), _p2c(comps[1]))
 
 
 def ket_to_dict(ket: BiphotonKet) -> dict:

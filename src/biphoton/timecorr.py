@@ -436,6 +436,8 @@ _LOWER = {"g0": 0.0, "tau_rise": 1e-6, "tau_decay": 1e-6, "tau_x": 1e-6, "tau_y"
 def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult:
     """Maximize the likelihood of ``hist`` over the ``free`` fields of ``model``
     (and a time offset); the other fields stay fixed."""
+    if not np.any(hist.counts > 0.0):
+        raise FitDegenerateError("histogram has no counts")
     means, fields, values = _model_values(model)
     if "background" in free:
         # At background 0 a bin the signal leaves empty (before zero delay in

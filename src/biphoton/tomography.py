@@ -80,7 +80,7 @@ class MeasurementSetting:
 class CountsRecord:
     """Coincidence counts accumulated for one setting.
 
-    ``counts`` is a non-negative number; Poisson simulation always produces
+    ``counts`` is a finite non-negative number; Poisson simulation always produces
     integers, but exact-expectation (noiseless) records are admitted as
     floats so estimators can be exercised without sampling noise.
     """
@@ -90,10 +90,10 @@ class CountsRecord:
     exposure: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.counts < 0:
-            raise ValueError(f"counts must be non-negative, got {self.counts!r}")
-        if self.exposure <= 0:
-            raise ValueError(f"exposure must be positive, got {self.exposure!r}")
+        if not 0 <= self.counts < np.inf:
+            raise ValueError(f"counts must be finite and non-negative, got {self.counts!r}")
+        if not 0 < self.exposure < np.inf:
+            raise ValueError(f"exposure must be finite and positive, got {self.exposure!r}")
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,13 @@ def _vectors(settings: list[MeasurementSetting]) -> np.ndarray:
 
 
 def _arrays(records: list[CountsRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analyzer kets, counts and exposures of the records."""
+    """Analyzer kets, counts and exposures; ValueError unless the summed counts and rates are finite."""
     vectors = _vectors([rec.setting for rec in records])
     counts = np.array([rec.counts for rec in records], dtype=float)
     exposures = np.array([rec.exposure for rec in records], dtype=float)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(counts) + np.sum(counts / exposures)):
+            raise ValueError("the summed counts or rates (counts / exposure) of the records are not finite")
     return vectors, counts, exposures
 
 
@@ -273,13 +276,18 @@ _E[np.arange(4, 16, 2), _TRIL[0], _TRIL[1]] = 1.0
 _E[np.arange(5, 16, 2), _TRIL[0], _TRIL[1]] = 1j
 
 # Damped Newton ascent at |x| = 1 (_ascend): each step solves
-# (-H + c x x^T + lambda c I) d = g, with c the largest |diagonal entry| of H.
-# The damping lambda starts at _DAMPING; it is divided by 10 (down to
-# _DAMPING_MIN) after an accepted step and multiplied by 10 after a rejected
-# one.  A step is accepted when ll does not fall by more than its rounding,
-# _ROUNDING |ll|.  The ascent stops at an accepted step with lambda at most
-# _UNDAMPED that gains less than _GAIN_TOL |ll|, and fails once lambda exceeds
-# _DAMPING_MAX or the iterations run out.
+# (-H + c x x^T + lambda c I) d = g, c the largest |diagonal entry| of H; the
+# x x^T term pins the radial direction, along which ll is flat.  A system with
+# no Cholesky factor (not positive definite) gives no ascent step and counts
+# as a rejected step, so the ascent cannot settle on a saddle.  Each step
+# evaluates ll, gradient and Hessian once, at the trial point of every problem
+# still active (its current point if it has no ascent step); a problem leaves
+# the stack when it stops.  The damping lambda starts at _DAMPING; it is
+# divided by 10 (down to _DAMPING_MIN) after an accepted step and multiplied
+# by 10 after a rejected one.  A step is accepted when ll does not fall by
+# more than its rounding, _ROUNDING |ll|.  The ascent stops at an accepted
+# step with lambda at most _UNDAMPED that gains less than _GAIN_TOL |ll|, and
+# fails once lambda exceeds _DAMPING_MAX or the iterations run out.
 _DAMPING = 1e-3
 _DAMPING_MIN = 1e-12
 _UNDAMPED = 1e-6
@@ -321,10 +329,8 @@ def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> tuple[np.nda
     return a, np.tensordot(exposures, a, axes=1)
 
 
-def _likelihood(
-    x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray, derivatives: bool = True
-):
-    """ll (B,) at the parameter stack x (B, 16); with derivatives also the gradient and Hessian.
+def _likelihood(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray):
+    """ll (B,), its gradient (B, 16) and its Hessian (B, 16, 16) at the parameter stack x (B, 16).
 
     Only stacked products, elementwise operations and reductions over a
     problem's own axes are used, so each problem's numbers do not depend on
@@ -340,8 +346,6 @@ def _likelihood(
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.log(q, out=np.zeros_like(q), where=pos)
         ll = np.sum(counts * log_q, axis=-1) - total * np.log(s)
-    if not derivatives:
-        return ll
     w = np.divide(counts, q, out=np.zeros_like(q), where=pos)
     w_q = np.divide(w, q, out=np.zeros_like(q), where=pos)
     ns = (total / s)[:, None]
@@ -355,56 +359,56 @@ def _likelihood(
     return ll, grad, hess
 
 
-def _newton_basis(x: np.ndarray, grad: np.ndarray, hess: np.ndarray):
-    """Eigenpairs of -H + c x x^T, c the largest |diagonal entry| of H, and the gradient in that basis.
+def _positive_definite(systems: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack (B, 16, 16) has a Cholesky factor.  A
+    stacked cholesky raises if any one fails; only then are they tested one by one."""
+    try:
+        np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        if len(systems) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_positive_definite(m[None]) for m in systems])
+    return np.ones(len(systems), dtype=bool)
 
-    The x x^T term pins the radial direction, along which ll is flat.  One
-    decomposition serves every damping tried at the point: the damped system
-    -H + c x x^T + lambda c I has the same eigenvectors.
-    """
-    scale = np.max(np.abs(np.diagonal(hess, axis1=1, axis2=2)), axis=-1)
-    curvature, vecs = np.linalg.eigh(scale[:, None, None] * (x[:, :, None] * x[:, None, :]) - hess)
-    return scale, curvature, vecs, (grad[:, None, :] @ vecs)[:, 0, :]
 
-
-def _ascend(
-    x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray, max_iterations: int
-):
-    """Damped Newton ascent of every problem in the stack; a problem that stops is frozen.
-
-    Returns the final parameters, iteration counts, damping, gradient
-    max-norm and a converged flag per problem.
-    """
+def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray, max_iterations: int):
+    """Damped Newton ascent of every problem in the stack.  Returns the final
+    parameters, iteration counts, damping, gradient max-norm and a converged
+    flag per problem; a problem that stops is written out and leaves the stack."""
     x = x / np.sqrt(np.sum(x * x, axis=-1))[:, None]
     ll, grad, hess = _likelihood(x, a, s_mat, counts)
-    scale, curvature, vecs, along = _newton_basis(x, grad, hess)
     damping = np.full(len(x), _DAMPING)
-    iterations = np.zeros(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
-    active = np.full(len(x), max_iterations > 0)
-    while active.any():
-        shifted = curvature + (damping * scale)[:, None]
-        # Only a positive definite system gives an ascent step; any other
-        # counts as a rejected step, so the ascent cannot settle on a saddle.
-        ascent = active & (shifted[:, 0] > 0.0)
-        step = vecs @ (along / np.where(ascent[:, None], shifted, 1.0))[:, :, None]
-        trial = x + np.where(ascent[:, None], step[:, :, 0], 0.0)
-        trial = trial / np.sqrt(np.sum(trial * trial, axis=-1))[:, None]
-        ll_trial = _likelihood(trial, a, s_mat, counts, derivatives=False)
+    out_x, out_damping, grad_max = x.copy(), damping.copy(), np.max(np.abs(grad), axis=-1)
+    out_iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x) if max_iterations > 0 else 0)
+    iterations = 0  # every live problem has taken this many steps
+    eye = np.eye(16)
+    while len(live):
+        iterations += 1
+        scale = np.max(np.abs(np.diagonal(hess, axis1=1, axis2=2)), axis=-1)
+        system = (scale[:, None, None] * (x[:, :, None] * x[:, None, :]) - hess
+                  + (damping * scale)[:, None, None] * eye)
+        ascent = _positive_definite(system)
+        step = np.linalg.solve(np.where(ascent[:, None, None], system, eye), grad[:, :, None])
+        trial = x + np.where(ascent[:, None], step[..., 0], 0.0)
+        trial /= np.sqrt(np.sum(trial * trial, axis=-1))[:, None]
+        ll_trial, grad_trial, hess_trial = _likelihood(trial, a, s_mat, counts)
         accept = ascent & (ll_trial >= ll - _ROUNDING * np.abs(ll))
         done = accept & (damping <= _UNDAMPED) & (ll_trial - ll <= _GAIN_TOL * np.abs(ll))
-        iterations += active
-        damping = np.where(accept, np.maximum(damping / 10.0, _DAMPING_MIN),
-                           np.where(active, damping * 10.0, damping))
+        damping = np.where(accept, np.maximum(damping / 10.0, _DAMPING_MIN), damping * 10.0)
         x = np.where(accept[:, None], trial, x)
         ll = np.where(accept, ll_trial, ll)
-        j = np.flatnonzero(accept & ~done)
-        if len(j):
-            _, grad[j], hess = _likelihood(x[j], a, s_mat, counts[j])
-            scale[j], curvature[j], vecs[j], along[j] = _newton_basis(x[j], grad[j], hess)
-        converged |= done
-        active &= ~done & (iterations < max_iterations) & (damping <= _DAMPING_MAX)
-    return x, iterations, damping, np.max(np.abs(grad), axis=-1), converged
+        grad = np.where(accept[:, None], grad_trial, grad)
+        hess = np.where(accept[:, None, None], hess_trial, hess)
+        stop = done | (iterations >= max_iterations) | (damping > _DAMPING_MAX)
+        if stop.any():
+            j = live[stop]
+            out_x[j], out_damping[j], grad_max[j] = x[stop], damping[stop], np.max(np.abs(grad[stop]), axis=-1)
+            out_iterations[j], converged[j] = iterations, done[stop]
+            live, x, ll, grad, hess, damping, counts = (
+                v[~stop] for v in (live, x, ll, grad, hess, damping, counts)
+            )
+    return out_x, out_iterations, out_damping, grad_max, converged
 
 
 def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
@@ -432,15 +436,10 @@ def _mle_seed(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return (_lower_t_factor(mat).reshape(-1, 16) @ _E.reshape(16, 16).conj().T).real
 
 
-def _mle(
-    vectors: np.ndarray,
-    counts: np.ndarray,
-    exposures: np.ndarray,
-    max_iterations: int = 10_000,
-) -> list[TomographyResult]:
-    """reconstruct_mle on arrays: analyzer kets (n, 4), a stack of counts (B, n)
-    and exposures (n,).  The B problems are solved together; each result is
-    the same as that of a stack of one."""
+def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray, max_iterations: int = 10_000):
+    """Linear-basis MLE states (B, 4, 4) and iteration counts (B,) for analyzer kets
+    (n, 4), counts (B, n) and exposures (n,), solved together with the results of
+    stacks of one.  The first problem not converged raises ConvergenceError."""
     if len(vectors) < 16:
         raise SpanError("at least 16 records are required")
     if np.any(np.sum(counts, axis=1) <= 0):
@@ -449,24 +448,33 @@ def _mle(
     x, iterations, damping, grad_max, converged = _ascend(
         x0, *_quadratic_forms(vectors, exposures), counts, max_iterations
     )
-    results = []
-    for b, mat in enumerate(_rho_from_params(x)):
-        rho = DensityMatrix4(mat, LINEAR)
-        result = TomographyResult(
-            rho=rho,
-            log_likelihood=_profiled(_born(mat, vectors), counts[b], exposures),
-            iterations=int(iterations[b]),
+    mats = _rho_from_params(x)
+    failed = np.flatnonzero(~converged)
+    if len(failed):
+        b = failed[0]
+        cause = "iteration cap" if iterations[b] >= max_iterations else "damping overflow"
+        raise ConvergenceError(
+            f"MLE did not converge: damped Newton stopped ({cause}) after "
+            f"{iterations[b]} iterations, damping {damping[b]:.3g}, "
+            f"gradient max-norm {grad_max[b]:.3g}",
+            best=_result(mats[b], counts[b], iterations[b], vectors, exposures),
         )
-        if not converged[b]:
-            cause = "iteration cap" if iterations[b] >= max_iterations else "damping overflow"
-            raise ConvergenceError(
-                f"MLE did not converge: damped Newton stopped ({cause}) after "
-                f"{iterations[b]} iterations, damping {damping[b]:.3g}, "
-                f"gradient max-norm {grad_max[b]:.3g}",
-                best=result,
-            )
-        results.append(result)
-    return results
+    return mats, iterations
+
+
+def _result(mat, counts, iterations, vectors, exposures) -> TomographyResult:
+    """The validated state of one solved problem, with its profiled log-likelihood."""
+    return TomographyResult(
+        rho=DensityMatrix4(mat, LINEAR),
+        log_likelihood=_profiled(_born(mat, vectors), counts, exposures),
+        iterations=int(iterations),
+    )
+
+
+def _mle(vectors, counts, exposures, max_iterations: int = 10_000) -> list[TomographyResult]:
+    """_solve, with a validated state and its profiled log-likelihood per problem."""
+    mats, iterations = _solve(vectors, counts, exposures, max_iterations)
+    return [_result(*problem, vectors, exposures) for problem in zip(mats, counts, iterations)]
 
 
 def reconstruct_mle(
@@ -477,7 +485,10 @@ def reconstruct_mle(
     The state is parameterized as T^dagger T / Tr[T^dagger T] with a
     lower-triangular T (16 real parameters) and ascended deterministically
     from the linear-inversion seed by damped Newton steps on the exact
-    Hessian.  The ascent counts as converged at a nearly undamped step that
+    Hessian.  A Cholesky test of the damped system decides whether a step
+    is an ascent step, one linear solve gives it, and the likelihood is
+    evaluated with its derivatives once per step, at the trial point.  The
+    ascent counts as converged at a nearly undamped step that
     gains less than 1e-13 of the log-likelihood; running out of
     ``max_iterations`` steps (``iterations`` counts every step tried,
     accepted or not) or of damping raises :class:`ConvergenceError`,
@@ -499,8 +510,8 @@ def resample_uncertainties(
 
     Each resample redraws every count from Poisson(observed count); all
     resamples are then reconstructed by maximum likelihood in one stacked
-    solve, with the same results as one at a time, and the indicators of
-    each are evaluated.  The spread over resamples estimates the
+    solve, with the same results as one at a time, and their indicators
+    are evaluated on the stack of states.  The spread over resamples estimates the
     counting-statistics uncertainty.  Fidelity is included only when a
     ``target`` ket is supplied.
     """
@@ -511,15 +522,10 @@ def resample_uncertainties(
         np.random.default_rng(child).poisson(counts)
         for child in np.random.SeedSequence(seed).spawn(n_resamples)
     ], dtype=float)
-    samples: dict[str, list[float]] = {}
-    for result in _mle(vectors, redrawn, exposures):
-        for name, value in entanglement.indicators(result.rho, target).items():
-            samples.setdefault(name, []).append(value)
+    mats, _ = _solve(vectors, redrawn, exposures)
     return {
-        name: MetricStats(
-            mean=float(np.mean(values)), std=float(np.std(values, ddof=1))
-        )
-        for name, values in samples.items()
+        name: MetricStats(mean=float(np.mean(values)), std=float(np.std(values, ddof=1)))
+        for name, values in entanglement.indicator_arrays(mats, target).items()
     }
 
 
@@ -569,6 +575,8 @@ def read_counts_csv(path) -> list[CountsRecord]:
             raise FileFormatError(lineno, "counts", "must be non-negative")
         if vals["exposure"] <= 0:
             raise FileFormatError(lineno, "exposure", "must be positive")
+        if not np.isfinite(vals["counts"] / vals["exposure"]):
+            raise FileFormatError(lineno, "exposure", "counts / exposure is not finite")
         setting = MeasurementSetting(proj_s, proj_i, row.get("label") or f"row{lineno}")
         records.append(CountsRecord(setting, vals["counts"], vals["exposure"]))
     return records

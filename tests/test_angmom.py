@@ -11,10 +11,16 @@ from biphoton.angmom import (
     PATH_Y,
     AngularMomentum,
     CascadeLevels,
-    cg,
     clebsch_gordan,
     path_coupling_x,
 )
+
+
+def cg(j1, m1, j2, m2, j3, m3) -> float:
+    """clebsch_gordan on plain quantum numbers (ints or half-ints)."""
+    return clebsch_gordan(
+        AngularMomentum.of(j1, m1), AngularMomentum.of(j2, m2), AngularMomentum.of(j3, m3)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import biphoton as bp
@@ -161,6 +162,55 @@ class TestTomographyPipeline:
         assert code == 1
         assert err.startswith("error: line 6, field 'counts'")
 
+    @staticmethod
+    def _edit_rows(path, edit) -> None:
+        """Apply edit to the fields of every data row of a simulate-tomo CSV."""
+        lines = path.read_text().splitlines()
+        assert lines[3].startswith("label,")
+        rows = lines[:4] + [",".join(edit(line.split(","))) for line in lines[4:]]
+        path.write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    def test_projector_scale_does_not_change_state(self, capsys, tmp_path, monkeypatch, method):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e5",
+            "--seed", "3", "--out", "counts.csv")
+        plain = run_json(capsys, "reconstruct", "--counts", "counts.csv", "--method", method)
+        self._edit_rows(tmp_path / "counts.csv",
+                        lambda f: [f[0]] + [repr(float(x) * 1e200) for x in f[1:9]] + f[9:])
+        scaled = run_json(capsys, "reconstruct", "--counts", "counts.csv", "--method", method,
+                          "--resamples", "2", "--seed", "1")
+        rho = np.array(plain["rho"]["matrix"])
+        assert np.max(np.abs(np.array(scaled["rho"]["matrix"]) - rho)) <= 1e-12
+
+    def test_overflowing_projector_names_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3",
+            "--seed", "1", "--out", "counts.csv")
+        self._edit_rows(tmp_path / "counts.csv", lambda f: [f[0]] + ["1e308"] * 8 + f[9:])
+        code, _, err = run(capsys, "reconstruct", "--counts", "counts.csv")
+        assert code == 1
+        assert err.startswith("error: line 5, field 'projector'")
+
+    def test_overflowing_rate_names_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3",
+            "--seed", "1", "--out", "counts.csv")
+        self._edit_rows(tmp_path / "counts.csv", lambda f: f[:10] + ["1e-320"])
+        code, _, err = run(capsys, "reconstruct", "--counts", "counts.csv")
+        assert code == 1
+        assert err.startswith("error: line 5, field 'exposure'")
+
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    def test_overflowing_count_sum_rejected(self, capsys, tmp_path, monkeypatch, method):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3",
+            "--seed", "1", "--out", "counts.csv")
+        self._edit_rows(tmp_path / "counts.csv", lambda f: f[:9] + ["1e308", f[10]])
+        code, _, err = run(capsys, "reconstruct", "--counts", "counts.csv", "--method", method)
+        assert code == 1
+        assert err.startswith("error:") and "not finite" in err
+
     @pytest.mark.parametrize("content", ["5", '{"amplitudes": 3}', "not json"],
                              ids=["number", "amplitudes-number", "not-json"])
     def test_malformed_ket_file_names_file(self, capsys, tmp_path, content):
@@ -274,6 +324,18 @@ class TestG2Pipeline:
         assert code == 1
         assert err.startswith("error:") and "--tau-rise" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["--model=single", "--preset=fig3"])
+    def test_histogram_without_counts_fails(self, capsys, tmp_path, monkeypatch, model):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "1", "--out", "hist.csv")
+        lines = (tmp_path / "hist.csv").read_text().splitlines()
+        assert lines[3] == "bin_start_ns,counts"
+        rows = lines[:4] + [line.split(",")[0] + ",0" for line in lines[4:]]
+        (tmp_path / "hist.csv").write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "fit-g2", "--hist", "hist.csv", model)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "histogram has no counts" in err
 
     def test_preset_g0_keeps_preset_starting_point(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

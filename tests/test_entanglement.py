@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
 from biphoton.polstate import (
@@ -174,3 +175,34 @@ class TestFidelity:
     def test_basis_mismatch_handled(self, rho_x, ket_x):
         lin = change_basis(ket_x, LINEAR)
         assert bp.fidelity(rho_x, lin) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestIndicatorArrays:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 6),
+        with_target=st.booleans(),
+    )
+    def test_stack_equals_single_state_functions(self, seed, size, with_target):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(size):
+            rank = int(rng.integers(1, 5))
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            mat = g @ g.conj().T
+            mats.append(0.5 * (mat + mat.conj().T) / np.trace(mat).real)
+        mats = np.array(mats)
+        target = random_pure_ket(rng) if with_target else None
+        values = bp.entanglement.indicator_arrays(mats, target)
+        assert ("fidelity" in values) == with_target
+        for b, mat in enumerate(mats):
+            rho = DensityMatrix4(mat, LINEAR)
+            assert values["purity"][b] == bp.purity(rho)
+            assert values["concurrence"][b] == bp.concurrence(rho)
+            assert values["entanglement_of_formation"][b] == bp.entanglement_of_formation(rho)
+            if target is not None:
+                assert values["fidelity"][b] == bp.fidelity(rho, target)
+            assert bp.entanglement.indicators(rho, target) == {
+                name: float(v[b]) for name, v in values.items()
+            }

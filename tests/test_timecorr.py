@@ -309,6 +309,12 @@ class TestFitSingle:
         with pytest.raises(FitDegenerateError):
             fit_single(flat, init)
 
+    def test_histogram_without_counts_is_degenerate(self):
+        empty = CoincidenceHistogram(1.0, -20.0, np.zeros(140))
+        init = SinglePathParams(g0=100.0, tau_rise=3.0, tau_decay=6.0)
+        with pytest.raises(FitDegenerateError, match="histogram has no counts"):
+            fit_single(empty, init)
+
     def test_fit_offset_recovers_shift(self):
         truth = SinglePathParams(g0=1500.0, tau_rise=3.1, tau_decay=5.6,
                                  background=8.0)
@@ -362,6 +368,13 @@ class TestFitBeats:
         fit = fit_beats(hist, preset.model)
         assert fit.params.g0 == pytest.approx(preset.model.g0, rel=0.03)
         assert fit.converged
+
+    def test_histogram_without_counts_is_degenerate(self):
+        preset = FIGURE_PRESETS["fig3"]
+        hist = simulate_histogram(preset.model, preset.bin_width, preset.t_range, seed=11)
+        empty = CoincidenceHistogram(hist.bin_width, hist.t_start, np.zeros(hist.n_bins))
+        with pytest.raises(FitDegenerateError, match="histogram has no counts"):
+            fit_beats(empty, preset.model)
 
     def test_unlocked_delta_recovers_beat_frequency(self):
         preset = FIGURE_PRESETS["fig3"]

@@ -215,6 +215,21 @@ class TestReconstructMLE:
         with pytest.raises(DegenerateCountsError):
             reconstruct_mle(records)
 
+    @pytest.mark.parametrize("estimator", [
+        reconstruct_mle, reconstruct_linear, lambda r: resample_uncertainties(r, 2, seed=0),
+    ], ids=["mle", "linear", "resample"])
+    def test_non_finite_rate_sum_raises(self, estimator):
+        records = [CountsRecord(s, 1e308) for s in standard_settings("minimal16")]
+        with pytest.raises(ValueError, match="not finite"):
+            estimator(records)
+
+    @pytest.mark.parametrize("counts, exposure", [
+        (math.nan, 1.0), (math.inf, 1.0), (5.0, math.nan), (5.0, math.inf),
+    ])
+    def test_non_finite_record_rejected(self, counts, exposure):
+        with pytest.raises(ValueError, match="finite"):
+            CountsRecord(standard_settings("minimal16")[0], counts, exposure)
+
     def test_too_few_records_raise(self, rho_x):
         records = exact_records(rho_x, standard_settings("overcomplete36")[:10], 1e4)
         with pytest.raises(SpanError):
@@ -334,6 +349,35 @@ class TestReconstructMLE:
             assert min_eigenvalue(result.rho) >= 0.0
             assert abs(np.trace(result.rho.matrix) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_solve_with_indefinite_systems(self, seed, monkeypatch):
+        # With random integer counts some stacked damped system has no
+        # Cholesky factor, so the stacked test raises and _ascend tests the
+        # problems one by one.
+        raised = []
+        cholesky = np.linalg.cholesky
+
+        def spy(mats):
+            try:
+                return cholesky(mats)
+            except np.linalg.LinAlgError:
+                raised.append(len(mats))
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        rng = np.random.default_rng(seed)
+        vectors = _vectors(standard_settings("minimal16"))
+        counts = rng.integers(0, 200, size=(4, len(vectors))).astype(float)
+        counts[:, 0] += 1.0
+        exposures = np.ones(len(vectors))
+        stacked = _mle(vectors, counts, exposures)
+        assert any(size > 1 for size in raised)
+        for b, result in enumerate(stacked):
+            single = _mle(vectors, counts[b : b + 1], exposures)[0]
+            assert result.rho.matrix.tobytes() == single.rho.matrix.tobytes()
+            assert result.log_likelihood == single.log_likelihood
+            assert result.iterations == single.iterations
+
     def test_fidelity_improves_with_counts(self, ket_x, rho_x):
         settings = standard_settings("overcomplete36")
         means = []
@@ -434,6 +478,20 @@ class TestCountsCsv:
             read_counts_csv(path)
         assert err.value.line == 6
         assert err.value.fieldname == "counts"
+
+    def test_overflowing_rate_names_line_and_field(self, rho_x, tmp_path):
+        records = simulate_counts(rho_x, standard_settings("minimal16"), 1e3, 31)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(records, path)
+        lines = path.read_text().splitlines()
+        parts = lines[5].split(",")
+        parts[-1] = "1e-320"
+        lines[5] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="not finite") as err:
+            read_counts_csv(path)
+        assert err.value.line == 6
+        assert err.value.fieldname == "exposure"
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
