@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from . import __version__, entanglement, polstate, timecorr, tomography
 from .angmom import PATH_X, PATH_Y, CascadeLevels
@@ -77,17 +79,13 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def _parse_levels(spec: str) -> CascadeLevels:
     parts = spec.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--levels expects 4 comma-separated values, got {spec!r}")
-    return CascadeLevels.of(*(_parse_quantum(p) for p in parts))
-
-
-def _parse_quantum(token: str):
-    token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return int(num) / int(den)
-    return float(token)
+    try:
+        values = [float(Fraction(part.strip())) for part in parts]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        values = []
+    if len(values) != 4:
+        raise ValueError(f"--levels expects 4 comma-separated finite numbers or fractions such as 5/2, got {spec!r}")
+    return CascadeLevels.of(*values)
 
 
 def _load_ket(path: str) -> BiphotonKet:
@@ -102,17 +100,15 @@ def _load_ket(path: str) -> BiphotonKet:
         raise ValueError(f"{path}: not a biphoton ket: {exc}") from None
 
 
-def _state_from_args(args) -> tuple[BiphotonKet, list[str]]:
-    """Resolve the source state for simulate-tomo and fidelity targets."""
-    if getattr(args, "path", None):
-        levels = _PATHS[args.path]
-        return polstate.ket_from_path(polstate.predict_path_state(levels)), []
-    if getattr(args, "levels", None):
-        levels = _parse_levels(args.levels)
-        return polstate.ket_from_path(polstate.predict_path_state(levels)), []
-    if getattr(args, "ket", None):
-        return _load_ket(args.ket), [args.ket]
-    raise ValueError("specify a state with --path, --levels, or --ket")
+def _resolve_ket(ket_file, path, levels) -> tuple[BiphotonKet | None, list[str]]:
+    """The ket of a JSON file, else the predicted state of a decay path or of
+    --levels, else None; with the list of files read."""
+    if ket_file is not None:
+        return _load_ket(ket_file), [ket_file]
+    if path is None and levels is None:
+        return None, []
+    cascade = _PATHS[path] if path else _parse_levels(levels)
+    return polstate.ket_from_path(polstate.predict_path_state(cascade)), []
 
 
 def _parse_projector(spec: str) -> Projector:
@@ -154,7 +150,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_simulate_tomo(args) -> int:
     seed = _resolve_seed(args)
-    ket, inputs = _state_from_args(args)
+    ket, inputs = _resolve_ket(args.ket, args.path, args.levels)
     rho = polstate.density_from_ket(ket)
     settings = tomography.standard_settings(args.settings)
     records = tomography.simulate_counts(rho, settings, args.n, seed)
@@ -164,7 +160,9 @@ def _cmd_simulate_tomo(args) -> int:
 
 
 def _subtract_background(records, level: float):
-    if level <= 0:
+    if level < 0:
+        raise ValueError(f"--subtract-background must be non-negative, got {level!r}")
+    if level == 0:
         return records
     return [
         tomography.CountsRecord(
@@ -174,22 +172,25 @@ def _subtract_background(records, level: float):
     ]
 
 
-def _target_from_args(args) -> tuple[BiphotonKet | None, list[str]]:
-    if getattr(args, "target_path", None):
-        levels = _PATHS[args.target_path]
-        return polstate.ket_from_path(polstate.predict_path_state(levels)), []
-    if getattr(args, "target", None):
-        return _load_ket(args.target), [args.target]
-    return None, []
+def _counts_and_target(args):
+    """Seed, counts records, fidelity target (or None) and meta block of reconstruct and resample."""
+    seed = _resolve_seed(args)
+    records = tomography.read_counts_csv(args.counts)
+    target, target_inputs = _resolve_ket(args.target, args.target_path, None)
+    return seed, records, target, _meta(args, seed, [args.counts] + target_inputs)
+
+
+def _resampled_metrics(args, records, seed: int, target) -> dict:
+    """Bootstrap mean and standard deviation of each indicator over --resamples resamples."""
+    stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
+    return {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()}
 
 
 def _cmd_reconstruct(args) -> int:
-    seed = _resolve_seed(args)
-    records = tomography.read_counts_csv(args.counts)
+    seed, records, target, meta = _counts_and_target(args)
     records = _subtract_background(records, args.subtract_background)
-    target, target_inputs = _target_from_args(args)
 
-    payload: dict = {"method": args.method}
+    payload: dict = {"meta": meta, "method": args.method}
     if args.method == "linear":
         rho = tomography.reconstruct_linear(records)
     else:
@@ -201,16 +202,10 @@ def _cmd_reconstruct(args) -> int:
     metrics = entanglement.indicators(rho, target)
 
     if args.resamples:
-        stats = tomography.resample_uncertainties(
-            records, args.resamples, seed, target=target
-        )
-        payload["resampled_metrics"] = {
-            name: {"mean": st.mean, "std": st.std} for name, st in stats.items()
-        }
+        payload["resampled_metrics"] = _resampled_metrics(args, records, seed, target)
 
     payload.update(
         {
-            "meta": _meta(args, seed, [args.counts] + target_inputs),
             "rho": polstate.density_to_dict(rho),
             "min_eigenvalue": min_eigenvalue(rho),
             "physical": min_eigenvalue(rho) >= -1e-9,
@@ -222,16 +217,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    seed = _resolve_seed(args)
-    records = tomography.read_counts_csv(args.counts)
-    target, target_inputs = _target_from_args(args)
-    stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
-    payload = {
-        "meta": _meta(args, seed, [args.counts] + target_inputs),
-        "n_resamples": args.resamples,
-        "metrics": {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()},
-    }
-    _emit_json(payload, args.out)
+    seed, records, target, meta = _counts_and_target(args)
+    metrics = _resampled_metrics(args, records, seed, target)
+    _emit_json({"meta": meta, "n_resamples": args.resamples, "metrics": metrics}, args.out)
     return 0
 
 
@@ -338,22 +326,13 @@ def _cmd_beat_params(args) -> int:
         _emit_json(payload, args.out)
         return 0
 
-    inputs = []
-    if args.ket_x:
-        ket_x = _load_ket(args.ket_x)
-        inputs.append(args.ket_x)
-    else:
-        ket_x = polstate.ket_from_path(polstate.predict_path_state(_PATHS[args.path_x]))
-    if args.ket_y:
-        ket_y = _load_ket(args.ket_y)
-        inputs.append(args.ket_y)
-    else:
-        ket_y = polstate.ket_from_path(polstate.predict_path_state(_PATHS[args.path_y]))
+    ket_x, inputs_x = _resolve_ket(args.ket_x, args.path_x, None)
+    ket_y, inputs_y = _resolve_ket(args.ket_y, args.path_y, None)
     proj_s = _parse_projector(args.proj_s)
     proj_i = _parse_projector(args.proj_i)
     r, phi = polstate.beat_params(ket_x, ket_y, proj_s, proj_i)
     payload = {
-        "meta": _meta(args, None, inputs),
+        "meta": _meta(args, None, inputs_x + inputs_y),
         "source": "projection",
         "proj_s": polstate.projector_to_dict(proj_s),
         "proj_i": polstate.projector_to_dict(proj_i),
@@ -367,11 +346,17 @@ def _cmd_beat_params(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_state_source(parser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_state_source(parser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--path", choices=("X", "Y"), help="predicted state of a decay path")
     group.add_argument("--levels", help="cascade F values, e.g. 2,2,3,3")
     group.add_argument("--ket", help="JSON file with a biphoton ket")
+
+
+def _add_target(parser) -> None:
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--target-path", choices=("X", "Y"), help="fidelity target: predicted path state")
+    group.add_argument("--target", help="fidelity target: ket JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="random seed for resampling")
     p.add_argument("--subtract-background", type=float, default=0.0,
                    help="flat accidental level per unit exposure to subtract, clamped at zero")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--target-path", choices=("X", "Y"), help="fidelity target: predicted path state")
-    group.add_argument("--target", help="fidelity target: ket JSON file")
+    _add_target(p)
     p.add_argument("--out", help="output JSON file (default: stdout)")
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -417,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--resamples", type=int, required=True)
     p.add_argument("--seed", type=int)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--target-path", choices=("X", "Y"))
-    group.add_argument("--target")
+    _add_target(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_resample)
 
@@ -484,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
         if not args.proj_s or not args.proj_i:
             parser.error("beat-params needs --proj-s and --proj-i (or --r and --phi)")
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value!r}")
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -290,22 +290,21 @@ def beat_params(
     ket_y: BiphotonKet,
     proj_s: Projector,
     proj_i: Projector,
-    *,
-    atol: float = 1e-14,
 ) -> tuple[float, float]:
     """Relative amplitude R and phase phi of two interfering decay paths.
 
     Both paths are projected onto the same analyzer pair; R = |A_y / A_x|
-    and phi = arg(A_y / A_x) folded into (-pi, pi].  A vanishing A_y gives
+    and phi = arg(A_y / A_x) folded into (-pi, pi].  An amplitude counts as
+    vanishing at magnitude 1e-14 or below.  A vanishing A_y gives
     the single-path convention (0, 0).  A vanishing A_x (with A_y nonzero)
     raises :class:`ProjectionDegeneracyError`: the reference path is fully
     suppressed and the caller must swap the roles of the two paths.
     """
     a_x = joint_projection_amplitude(ket_x, proj_s, proj_i)
     a_y = joint_projection_amplitude(ket_y, proj_s, proj_i)
-    if abs(a_y) <= atol:
+    if abs(a_y) <= 1e-14:
         return 0.0, 0.0
-    if abs(a_x) <= atol:
+    if abs(a_x) <= 1e-14:
         raise ProjectionDegeneracyError(
             "reference path amplitude is zero for these projectors"
         )
@@ -441,9 +440,10 @@ def density_to_dict(rho: DensityMatrix4) -> dict:
     }
 
 
-def density_from_dict(data: dict, *, eig_floor: float = -1e-9) -> DensityMatrix4:
-    rows = data["matrix"]
-    if len(rows) != 4 or any(len(row) != 4 for row in rows):
-        raise ValueError("density matrix must be 4x4")
+def density_from_dict(data: dict) -> DensityMatrix4:
+    """Density matrix from ``{"basis": ..., "matrix": 4 rows of 4 [re, im] pairs}``; ValueError if malformed."""
+    rows = data.get("matrix") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or len(rows) != 4 or any(not isinstance(row, list) or len(row) != 4 for row in rows):
+        raise ValueError("a density matrix needs a 'basis' and a 'matrix' of 4 rows of 4 [re, im] pairs")
     mat = np.array([[_p2c(z) for z in row] for row in rows], dtype=complex)
-    return DensityMatrix4(mat, _check_basis(data["basis"]), eig_floor=eig_floor)
+    return DensityMatrix4(mat, _check_basis(data.get("basis")))

@@ -61,6 +61,12 @@ class FitConvergenceError(RuntimeError):
         self.best = best
 
 
+def _require_finite(params) -> None:
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SinglePathParams:
     """Rising/falling exponential coincidence model.
@@ -76,6 +82,7 @@ class SinglePathParams:
     background: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.g0 <= 0:
             raise ValueError("g0 must be positive")
         if self.tau_rise <= 0 or self.tau_decay <= 0:
@@ -104,6 +111,7 @@ class BeatModelParams:
     background: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.g0 <= 0:
             raise ValueError("g0 must be positive")
         if self.tau_x <= 0 or self.tau_y <= 0:
@@ -288,18 +296,18 @@ def simulate_histogram(
     return CoincidenceHistogram(bin_width, t_lo, counts.astype(float), metadata)
 
 
-def convolve_jitter(model_fn, sigma: float, *, n_nodes: int = 601, half_width: float = 6.0):
+def convolve_jitter(model_fn, sigma: float):
     """Gaussian-jitter a model curve; returns a new callable.
 
-    The kernel is truncated at ``half_width`` standard deviations and its
-    quadrature weights renormalized to unit mass, so the curve integral is
-    preserved.  ``sigma = 0`` returns the model unchanged.
+    The kernel is sampled at 601 nodes, truncated at 6 standard deviations,
+    and its quadrature weights renormalized to unit mass, so the curve
+    integral is preserved.  ``sigma = 0`` returns the model unchanged.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return model_fn
-    z = np.linspace(-half_width, half_width, n_nodes)
+    z = np.linspace(-6.0, 6.0, 601)
     weights = np.exp(-0.5 * z**2)
     weights /= weights.sum()
     shifts = sigma * z

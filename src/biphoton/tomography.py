@@ -180,8 +180,8 @@ def simulate_counts(
     Each setting uses an independent child seed derived from (seed, index),
     so results do not depend on evaluation order.
     """
-    if n_per_setting <= 0:
-        raise ValueError("n_per_setting must be positive")
+    if not 0 < n_per_setting < np.inf:
+        raise ValueError(f"n_per_setting must be finite and positive, got {n_per_setting!r}")
     mu = n_per_setting * expected_probabilities(rho, settings)
     children = np.random.SeedSequence(seed).spawn(len(settings))
     return [
@@ -210,11 +210,6 @@ def _design(vectors: np.ndarray) -> np.ndarray:
     return design
 
 
-def _require_span(rank: int) -> None:
-    if rank < 16:
-        raise SpanError("measurement settings do not span the 16-dimensional operator space")
-
-
 def _operators(coeffs: np.ndarray) -> np.ndarray:
     """Hermitian operators (..., 4, 4) from their basis coefficients (..., 16)."""
     est = np.zeros(coeffs.shape[:-1] + (4, 4), dtype=complex)
@@ -225,10 +220,14 @@ def _operators(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _linear_estimate(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Unnormalized least-squares operator estimate (flux times state)."""
-    coeffs, _, rank, _ = np.linalg.lstsq(design, rates, rcond=None)
-    _require_span(rank)
-    return _operators(coeffs)
+    """Unnormalized least-squares operator estimates (..., 4, 4), flux times state,
+    for rates (..., n).  One SVD of the design gives its rank and its
+    pseudo-inverse, with matrix_rank's and pinv's cutoffs."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if np.count_nonzero(s > s.max(initial=0.0) * max(design.shape) * np.finfo(s.dtype).eps) < 16:
+        raise SpanError("measurement settings do not span the 16-dimensional operator space")
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max())
+    return _operators((vt.T @ (inverse[:, None] * u.T) @ rates[..., None])[..., 0])
 
 
 def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
@@ -265,10 +264,9 @@ def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
 #     ll(x) = sum_k n_k ln q_k - N ln s,   q_k = x^T A_k x,   s = x^T S x,
 #
 # where A_k = Re(M_k^dagger M_k), column j of M_k is E_j v_k, S = sum_k e_k A_k
-# and N = sum_k n_k.  ll is homogeneous of degree 0 in x, and its gradient and
-# Hessian have closed forms (_likelihood).
+# and N = sum_k n_k (_profiled_ll).  ll is homogeneous of degree 0 in x, and
+# its gradient and Hessian have closed forms (_likelihood).
 
-_P_FLOOR = 1e-12
 _TRIL = np.tril_indices(4, -1)
 _E = np.zeros((16, 4, 4), dtype=complex)  # T = sum_j x_j E_j
 _E[_DIAG, _DIAG, _DIAG] = 1.0
@@ -304,21 +302,21 @@ def _lower_t_factor(mat: np.ndarray) -> np.ndarray:
 
 
 def _rho_from_params(params: np.ndarray) -> np.ndarray:
-    """T^dagger T / Tr for parameters (B, 16), plus 1e-15 I so that no eigenvalue is computed below 0."""
+    """(T^dagger T + 1e-15 Tr I) / (Tr (1 + 4e-15)) for parameters (B, 16); the
+    1e-15 Tr I keeps every computed eigenvalue above 0."""
     t = (params @ _E.reshape(16, 16)).reshape(-1, 4, 4)
     mat = t.conj().swapaxes(-1, -2) @ t
     mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-    mat = mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None] + 1e-15 * np.eye(4)
-    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+    trace = np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+    return (mat + 1e-15 * trace * np.eye(4)) / (trace * (1.0 + 4e-15))
 
 
-def _profiled(p: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> float:
-    """Poisson log-likelihood with the flux profiled out."""
-    p = p + _P_FLOOR
-    scale = float(counts.sum()) / float(np.dot(exposures, p))
-    mu = scale * exposures * p
-    pos = counts > 0
-    return float(np.sum(counts[pos] * np.log(mu[pos])) - mu.sum())
+def _profiled_ll(counts: np.ndarray, total: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k n_k ln q_k - N ln s over the last axis of counts and q (..., n), for
+    N = total and s (...); -inf where a setting with counts has q_k = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log(q, out=np.zeros_like(q), where=counts > 0)
+        return np.sum(counts * log_q, axis=-1) - total * np.log(s)
 
 
 def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,9 +341,7 @@ def _likelihood(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndar
     s = (sx[:, None, :] @ x[:, :, None])[:, 0, 0]
     pos = counts > 0
     total = np.sum(counts, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = np.log(q, out=np.zeros_like(q), where=pos)
-        ll = np.sum(counts * log_q, axis=-1) - total * np.log(s)
+    ll = _profiled_ll(counts, total, q, s)
     w = np.divide(counts, q, out=np.zeros_like(q), where=pos)
     w_q = np.divide(w, q, out=np.zeros_like(q), where=pos)
     ns = (total / s)[:, None]
@@ -411,21 +407,26 @@ def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray,
     return out_x, out_iterations, out_damping, grad_max, converged
 
 
+def _state_ll(mat: np.ndarray, vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> float:
+    """Poisson log-likelihood sum_k n_k ln mu_k - mu_k of the linear-basis state at
+    its maximum-likelihood flux N / s, with mu_k = N e_k p_k / s and s = e . p:
+    _profiled_ll at the Born probabilities p plus sum_k n_k ln(N e_k) - N."""
+    p = _born(mat, vectors)
+    total = counts.sum()
+    seen = counts > 0
+    return float(_profiled_ll(counts, total, p, exposures @ p) + counts[seen] @ np.log(total * exposures[seen]) - total)
+
+
 def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
-    """Profiled Poisson log-likelihood of a state given observed counts."""
-    vectors, counts, exposures = _arrays(records)
-    p = _born(density_change_basis(rho, LINEAR).matrix, vectors)
-    return _profiled(p, counts, exposures)
+    """Poisson log-likelihood of a state given observed counts, at the
+    maximum-likelihood flux; -inf if a setting with counts has probability 0."""
+    return _state_ll(density_change_basis(rho, LINEAR).matrix, *_arrays(records))
 
 
 def _mle_seed(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Starting parameters (B, 16) for the rates (B, n): the linear estimate
-    projected onto the states and mixed with 1% of I/4.  One SVD of the design
-    gives its rank and its pseudo-inverse, with matrix_rank's and pinv's cutoffs."""
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    _require_span(np.count_nonzero(s > s.max() * max(design.shape) * np.finfo(s.dtype).eps))
-    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max())
-    est = _operators((vt.T @ (inverse[:, None] * u.T) @ rates[:, :, None])[..., 0])
+    projected onto the states and mixed with 1% of I/4."""
+    est = _linear_estimate(design, rates)
     trace = np.trace(est, axis1=1, axis2=2).real[:, None, None]
     mat = np.where(trace > 0.0, est / np.where(trace > 0.0, trace, 1.0), np.eye(4) / 4.0)
     evals, evecs = np.linalg.eigh(mat)
@@ -440,11 +441,9 @@ def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray, max_i
     """Linear-basis MLE states (B, 4, 4) and iteration counts (B,) for analyzer kets
     (n, 4), counts (B, n) and exposures (n,), solved together with the results of
     stacks of one.  The first problem not converged raises ConvergenceError."""
-    if len(vectors) < 16:
-        raise SpanError("at least 16 records are required")
+    x0 = _mle_seed(_design(vectors), counts / exposures)
     if np.any(np.sum(counts, axis=1) <= 0):
         raise DegenerateCountsError("all settings recorded zero counts")
-    x0 = _mle_seed(_design(vectors), counts / exposures)
     x, iterations, damping, grad_max, converged = _ascend(
         x0, *_quadratic_forms(vectors, exposures), counts, max_iterations
     )
@@ -466,7 +465,7 @@ def _result(mat, counts, iterations, vectors, exposures) -> TomographyResult:
     """The validated state of one solved problem, with its profiled log-likelihood."""
     return TomographyResult(
         rho=DensityMatrix4(mat, LINEAR),
-        log_likelihood=_profiled(_born(mat, vectors), counts, exposures),
+        log_likelihood=_state_ll(mat, vectors, counts, exposures),
         iterations=int(iterations),
     )
 

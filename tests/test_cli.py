@@ -394,6 +394,30 @@ class TestBeatParamsCommand:
             main(["beat-params", "--path-x", "X"])
 
 
+class TestBadFlagValues:
+    """Each bad value exits 1 with one error line that names its flag."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["predict", "--levels", "2,2,3,1/0"], "--levels"),
+        (["predict", "--levels", "2,2,3,inf"], "--levels"),
+        (["predict", "--levels", "2,2,3,1e400"], "--levels"),
+        (["reconstruct", "--counts", "counts.csv", "--subtract-background", "-5"], "--subtract-background"),
+        (["reconstruct", "--counts", "counts.csv", "--subtract-background", "nan"], "--subtract-background"),
+        (["beat-params", "--r", "nan", "--phi", "0"], "--r"),
+        (["simulate-g2", "--preset", "fig3", "--g0", "nan", "--out", "h.csv"], "--g0"),
+        (["fit-g2", "--hist", "h.csv", "--model", "single", "--g0", "nan"], "--g0"),
+    ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
+            "beat-r-nan", "simulate-g0-nan", "fit-g0-nan"])
+    def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
+        run(capsys, "simulate-g2", "--preset", "fig2x", "--seed", "1", "--out", "h.csv")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_simulate_tomo_byte_identical(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -365,6 +365,19 @@ class TestJsonInterchange:
         with pytest.raises(ValueError):
             ket_from_dict({"basis": CIRCULAR, "amplitudes": [[1.0, 0.0]] * 3})
 
+    @pytest.mark.parametrize("data", [
+        {},
+        {"matrix": 5},
+        {"matrix": [[[0.25, 0.0]] * 4] * 4},
+        [],
+        {"basis": CIRCULAR, "matrix": [5, 6, 7, 8]},
+        {"basis": CIRCULAR, "matrix": [[[0.25, 0.0]] * 4] * 3},
+        {"basis": CIRCULAR, "matrix": [[0.25] * 4] * 4},
+    ], ids=["empty", "scalar-matrix", "no-basis", "list", "flat-rows", "three-rows", "bare-numbers"])
+    def test_malformed_density_rejected(self, data):
+        with pytest.raises(ValueError):
+            density_from_dict(data)
+
 
 class TestProjectorValidation:
     def test_unnormalized_rejected(self):

@@ -71,8 +71,22 @@ class TestSinglePathModel:
         with pytest.raises(ValueError):
             SinglePathParams(g0=1.0, tau_rise=-1.0, tau_decay=1.0)
 
+    @pytest.mark.parametrize("field", ["g0", "tau_rise", "tau_decay", "background"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_named(self, field, value):
+        values = {"g0": 1.0, "tau_rise": 1.0, "tau_decay": 2.0, "background": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SinglePathParams(**values)
+
 
 class TestBeatModel:
+    @pytest.mark.parametrize("field", ["g0", "tau_x", "tau_y", "r", "phi", "delta", "background"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_field_named(self, field, value):
+        values = {"g0": 1.0, "tau_x": 5.6, "tau_y": 13.1, "r": 1.0, "phi": 0.3, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BeatModelParams(**values)
+
     def test_single_path_limit(self):
         p = BeatModelParams(g0=5.0, tau_x=5.6, tau_y=13.1, r=0.0, phi=0.0,
                             background=2.0)

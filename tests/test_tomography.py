@@ -30,6 +30,7 @@ from biphoton.tomography import (
     _linear_estimate,
     _mle,
     _quadratic_forms,
+    _rho_from_params,
     _vectors,
     expected_probabilities,
     expected_probability,
@@ -126,6 +127,11 @@ class TestExpectedProbabilities:
 
 
 class TestSimulateCounts:
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_count_level_rejected(self, rho_x, n):
+        with pytest.raises(ValueError, match="n_per_setting must be finite and positive"):
+            simulate_counts(rho_x, standard_settings("minimal16"), n, seed=1)
+
     def test_zero_probability_never_counts(self):
         ket = BiphotonKet(np.array([1, 0, 0, 0], dtype=complex), LINEAR)  # |HH>
         rho = density_from_ket(ket)
@@ -235,6 +241,11 @@ class TestReconstructMLE:
         with pytest.raises(SpanError):
             reconstruct_mle(records)
 
+    @pytest.mark.parametrize("estimator", [reconstruct_mle, reconstruct_linear], ids=["mle", "linear"])
+    def test_no_records_raise_span_error(self, estimator):
+        with pytest.raises(SpanError):
+            estimator([])
+
     def test_output_physical_for_arbitrary_counts(self):
         rng = np.random.default_rng(8)
         settings = standard_settings("overcomplete36")
@@ -247,6 +258,16 @@ class TestReconstructMLE:
             result = reconstruct_mle(records)
             assert min_eigenvalue(result.rho) >= 0.0
             assert np.trace(result.rho.matrix).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_states_from_parameters_have_unit_trace_and_floor(self):
+        # (T^dagger T + 1e-15 Tr I) / (Tr (1 + 4e-15)): unit trace to rounding, every
+        # eigenvalue at least about 1e-15, also for nearly rank-one T
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(400, 16)) * rng.uniform(1e-3, 1e3, size=(400, 1))
+        x[:200, 1:4] *= 1e-12
+        mats = _rho_from_params(x)
+        assert np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)) <= 1e-15
+        assert np.min(np.linalg.eigvalsh(mats)) >= 0.9e-15
 
     def test_likelihood_beats_projected_linear(self, rho_x):
         settings = standard_settings("overcomplete36")
@@ -388,6 +409,35 @@ class TestReconstructMLE:
                 fids.append(bp.fidelity(reconstruct_mle(records).rho, ket_x))
             means.append(np.mean(fids))
         assert all(b > a for a, b in zip(means, means[1:]))
+
+
+class TestLogLikelihood:
+    def test_matches_poisson_sum_at_fitted_flux(self):
+        # sum_k n_k ln mu_k - mu_k with mu_k = F e_k p_k at the flux F = N / sum_k e_k p_k
+        rng = np.random.default_rng(23)
+        settings = standard_settings("overcomplete36")
+        kets = np.array([np.kron(s.proj_s.vector(LINEAR), s.proj_i.vector(LINEAR)) for s in settings])
+        for _ in range(6):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            mat = g @ g.conj().T
+            rho = DensityMatrix4(mat / np.trace(mat).real, LINEAR)
+            p = np.einsum("ki,ij,kj->k", kets.conj(), rho.matrix, kets).real
+            exposures = rng.uniform(0.2, 5.0, size=len(settings))
+            counts = rng.poisson(300.0 * exposures * p).astype(float)
+            records = [CountsRecord(s, n, e) for s, n, e in zip(settings, counts, exposures)]
+            mu = counts.sum() / (exposures @ p) * exposures * p
+            seen = counts > 0
+            expected = counts[seen] @ np.log(mu[seen]) - mu.sum()
+            assert log_likelihood(rho, records) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_minus_infinity_for_a_forbidden_setting_with_counts(self):
+        hh = density_from_ket(BiphotonKet(np.array([1.0, 0.0, 0.0, 0.0]), LINEAR))
+        settings = standard_settings("overcomplete36")
+        records = [CountsRecord(s, 10.0 if s.label in ("HH", "VV") else 0.0) for s in settings]
+        assert log_likelihood(hh, records) == -np.inf
+        without_vv = [CountsRecord(r.setting, 0.0) if r.setting.label == "VV" else r for r in records]
+        # HH takes all N = 10 counts at the flux 10 / 9 (the 36 settings' probabilities sum to 9)
+        assert log_likelihood(hh, without_vv) == pytest.approx(10.0 * math.log(10.0 / 9.0) - 10.0, rel=1e-14)
 
 
 class TestResampling:
