@@ -73,6 +73,12 @@ def _triangle_ok(two_a: int, two_b: int) -> bool:
     )
 
 
+# Largest F a cascade level may have.  Real hyperfine levels stay far below
+# it, and predicting a path's state takes steeply longer as F grows (0.6 s at
+# F = 200, 80 s at F = 1000).
+MAX_F = 20
+
+
 @dataclass(frozen=True)
 class CascadeLevels:
     """Total angular momenta F of the four levels in the cascade g -> b -> e -> d -> g.
@@ -89,6 +95,9 @@ class CascadeLevels:
     two_f_d: int
 
     def __post_init__(self) -> None:
+        two_f_max = max(self.two_f_g, self.two_f_b, self.two_f_e, self.two_f_d)
+        if two_f_max > 2 * MAX_F:
+            raise ValueError(f"F above {MAX_F} is not supported, got F = {two_f_max / 2:g}")
         chain = [
             ("g-b", self.two_f_g, self.two_f_b),
             ("b-e", self.two_f_b, self.two_f_e),

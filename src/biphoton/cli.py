@@ -5,26 +5,35 @@ fit-g2, beat-params.  Every command is deterministic for a fixed --seed
 (default from the BIPHOTON_SEED environment variable, else 12345), and every
 output artifact embeds the tool version, the command line, the seed, and a
 SHA-256 digest of each input file.
+
+Each handler imports the modules it runs, so that a cold invocation loads
+only those: the histogram commands never load tomography, nor the state
+commands timecorr.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, entanglement, polstate, timecorr, tomography
-from .angmom import PATH_X, PATH_Y, CascadeLevels
-from .polstate import BiphotonKet, Projector, min_eigenvalue
+from . import __version__
+
+if TYPE_CHECKING:
+    from .angmom import CascadeLevels
+    from .polstate import BiphotonKet, Projector
 
 DEFAULT_SEED = 12345
 
-_PATHS = {"X": PATH_X, "Y": PATH_Y}
+
+def _path_levels(path: str) -> CascadeLevels:
+    from .angmom import PATH_X, PATH_Y
+
+    return {"X": PATH_X, "Y": PATH_Y}[path]
 
 
 def _resolve_seed(args) -> int:
@@ -40,6 +49,8 @@ def _resolve_seed(args) -> int:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -78,6 +89,10 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _parse_levels(spec: str) -> CascadeLevels:
+    from fractions import Fraction
+
+    from .angmom import CascadeLevels
+
     parts = spec.split(",")
     try:
         values = [float(Fraction(part.strip())) for part in parts]
@@ -85,11 +100,16 @@ def _parse_levels(spec: str) -> CascadeLevels:
         values = []
     if len(values) != 4:
         raise ValueError(f"--levels expects 4 comma-separated finite numbers or fractions such as 5/2, got {spec!r}")
-    return CascadeLevels.of(*values)
+    try:
+        return CascadeLevels.of(*values)
+    except ValueError as exc:
+        raise ValueError(f"--levels {spec!r}: {exc}") from None
 
 
 def _load_ket(path: str) -> BiphotonKet:
     """Accept either a bare ket JSON or the payload written by `predict`."""
+    from . import polstate
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -103,35 +123,37 @@ def _load_ket(path: str) -> BiphotonKet:
 def _resolve_ket(ket_file, path, levels) -> tuple[BiphotonKet | None, list[str]]:
     """The ket of a JSON file, else the predicted state of a decay path or of
     --levels, else None; with the list of files read."""
+    from . import polstate
+
     if ket_file is not None:
         return _load_ket(ket_file), [ket_file]
     if path is None and levels is None:
         return None, []
-    cascade = _PATHS[path] if path else _parse_levels(levels)
+    cascade = _path_levels(path) if path else _parse_levels(levels)
     return polstate.ket_from_path(polstate.predict_path_state(cascade)), []
 
 
-def _parse_projector(spec: str) -> Projector:
+def _parse_projector(flag: str, spec: str) -> Projector:
+    from . import polstate
+
     spec = spec.strip()
     if spec.upper() in "HVDALR" and len(spec) == 1:
         return polstate.named_projector(spec.upper())
-    parts = spec.split(",")
-    if len(parts) != 4:
-        raise ValueError(
-            f"projector spec must be one of H,V,D,A,L,R or 'hre,him,vre,vim', got {spec!r}"
-        )
-    vals = [float(p) for p in parts]
-    return Projector.normalized(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
+    try:
+        h_re, h_im, v_re, v_im = (float(part) for part in spec.split(","))
+        return polstate.Projector.normalized(complex(h_re, h_im), complex(v_re, v_im))
+    except ValueError:
+        raise ValueError(f"{flag} must be one of H,V,D,A,L,R or 4 finite numbers 'hre,him,vre,vim', "
+                         f"not all zero; got {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def _cmd_predict(args) -> int:
-    if args.path:
-        levels = _PATHS[args.path]
-    else:
-        levels = _parse_levels(args.levels)
+    from . import entanglement, polstate
+
+    levels = _path_levels(args.path) if args.path else _parse_levels(args.levels)
     path_state = polstate.predict_path_state(levels)
     ket = polstate.ket_from_path(path_state)
     payload = {
@@ -149,6 +171,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate_tomo(args) -> int:
+    from . import polstate, tomography
+
     seed = _resolve_seed(args)
     ket, inputs = _resolve_ket(args.ket, args.path, args.levels)
     rho = polstate.density_from_ket(ket)
@@ -160,12 +184,14 @@ def _cmd_simulate_tomo(args) -> int:
 
 
 def _subtract_background(records, level: float):
+    from .tomography import CountsRecord
+
     if level < 0:
         raise ValueError(f"--subtract-background must be non-negative, got {level!r}")
     if level == 0:
         return records
     return [
-        tomography.CountsRecord(
+        CountsRecord(
             rec.setting, max(0.0, rec.counts - level * rec.exposure), rec.exposure
         )
         for rec in records
@@ -174,6 +200,8 @@ def _subtract_background(records, level: float):
 
 def _counts_and_target(args):
     """Seed, counts records, fidelity target (or None) and meta block of reconstruct and resample."""
+    from . import tomography
+
     seed = _resolve_seed(args)
     records = tomography.read_counts_csv(args.counts)
     target, target_inputs = _resolve_ket(args.target, args.target_path, None)
@@ -182,11 +210,15 @@ def _counts_and_target(args):
 
 def _resampled_metrics(args, records, seed: int, target) -> dict:
     """Bootstrap mean and standard deviation of each indicator over --resamples resamples."""
+    from . import tomography
+
     stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
     return {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()}
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import entanglement, polstate, tomography
+
     seed, records, target, meta = _counts_and_target(args)
     records = _subtract_background(records, args.subtract_background)
 
@@ -207,8 +239,8 @@ def _cmd_reconstruct(args) -> int:
     payload.update(
         {
             "rho": polstate.density_to_dict(rho),
-            "min_eigenvalue": min_eigenvalue(rho),
-            "physical": min_eigenvalue(rho) >= -1e-9,
+            "min_eigenvalue": polstate.min_eigenvalue(rho),
+            "physical": polstate.min_eigenvalue(rho) >= -1e-9,
             "metrics": metrics,
         }
     )
@@ -223,19 +255,32 @@ def _cmd_resample(args) -> int:
     return 0
 
 
-# simulate-g2 parameters without --preset; a model flag replaces its field.
-_SIMULATE_MODELS = {
-    "single": timecorr.SinglePathParams(g0=1000.0, tau_rise=3.1, tau_decay=5.6),
-    "beats": timecorr.BeatModelParams(g0=1000.0, tau_x=5.6, tau_y=13.1, r=1.0, phi=0.0),
-}
 _MODEL_FLAGS = ("g0", "tau_rise", "tau_decay", "tau_x", "tau_y", "r", "phi", "delta", "background")
+
+
+def _simulate_model(kind: str):
+    """simulate-g2 parameters without --preset; a model flag replaces its field."""
+    from . import timecorr
+
+    if kind == "single":
+        return timecorr.SinglePathParams(g0=1000.0, tau_rise=3.1, tau_decay=5.6)
+    return timecorr.BeatModelParams(g0=1000.0, tau_x=5.6, tau_y=13.1, r=1.0, phi=0.0)
+
+
+def _preset(name: str):
+    """The figure preset of --preset, checked here so that the parser needs no timecorr."""
+    from .timecorr import FIGURE_PRESETS
+
+    if name not in FIGURE_PRESETS:
+        raise ValueError(f"--preset must be one of {', '.join(sorted(FIGURE_PRESETS))}, got {name!r}")
+    return FIGURE_PRESETS[name]
 
 
 def _model_from_args(args):
     if args.preset:
         if args.model is not None:
             raise ValueError("--model cannot be combined with --preset")
-        preset = timecorr.FIGURE_PRESETS[args.preset]
+        preset = _preset(args.preset)
         model = preset.model
         bin_width = args.bin_width if args.bin_width is not None else preset.bin_width
         t_min = args.t_min if args.t_min is not None else preset.t_range[0]
@@ -245,7 +290,7 @@ def _model_from_args(args):
     elif args.bin_width is None or args.t_min is None or args.t_max is None:
         raise ValueError("--bin-width, --t-min and --t-max are required without --preset")
     else:
-        model = _SIMULATE_MODELS[args.model]
+        model = _simulate_model(args.model)
         bin_width, t_min, t_max = args.bin_width, args.t_min, args.t_max
     given = {name: getattr(args, name) for name in _MODEL_FLAGS if getattr(args, name) is not None}
     for name in given:
@@ -256,6 +301,8 @@ def _model_from_args(args):
 
 
 def _cmd_simulate_g2(args) -> int:
+    from . import timecorr
+
     seed = _resolve_seed(args)
     model, bin_width, t_range = _model_from_args(args)
     hist = timecorr.simulate_histogram(model, bin_width, t_range, seed)
@@ -265,15 +312,17 @@ def _cmd_simulate_g2(args) -> int:
 
 
 def _cmd_fit_g2(args) -> int:
-    hist = timecorr.read_histogram_csv(args.hist)
+    from . import timecorr
+
     if args.preset:
-        preset_model = timecorr.FIGURE_PRESETS[args.preset].model
+        preset_model = _preset(args.preset).model
         model_kind = "single" if isinstance(preset_model, timecorr.SinglePathParams) else "beats"
     else:
         preset_model = None
         model_kind = args.model
     if model_kind is None:
         raise ValueError("specify --preset or --model")
+    hist = timecorr.read_histogram_csv(args.hist)
 
     if model_kind == "single":
         if preset_model is not None:
@@ -297,7 +346,8 @@ def _cmd_fit_g2(args) -> int:
             base = timecorr.BeatModelParams(
                 g0=args.g0 if args.g0 is not None else 1.0,
                 tau_x=args.tau_x, tau_y=args.tau_y, r=args.r, phi=args.phi,
-                delta=args.delta, background=args.background,
+                delta=timecorr.DEFAULT_DELTA if args.delta is None else args.delta,
+                background=args.background,
             )
         free = tuple(name.strip() for name in args.free.split(",") if name.strip())
         fit = timecorr.fit_beats(hist, base, free=free, fit_offset=args.fit_offset)
@@ -312,6 +362,8 @@ def _cmd_fit_g2(args) -> int:
 
 
 def _cmd_beat_params(args) -> int:
+    from . import polstate
+
     if args.r is not None or args.phi is not None:
         if args.r is None or args.phi is None:
             raise ValueError("--r and --phi must be given together")
@@ -328,8 +380,8 @@ def _cmd_beat_params(args) -> int:
 
     ket_x, inputs_x = _resolve_ket(args.ket_x, args.path_x, None)
     ket_y, inputs_y = _resolve_ket(args.ket_y, args.path_y, None)
-    proj_s = _parse_projector(args.proj_s)
-    proj_i = _parse_projector(args.proj_i)
+    proj_s = _parse_projector("--proj-s", args.proj_s)
+    proj_i = _parse_projector("--proj-i", args.proj_i)
     r, phi = polstate.beat_params(ket_x, ket_y, proj_s, proj_i)
     payload = {
         "meta": _meta(args, None, inputs_x + inputs_y),
@@ -405,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_resample)
 
     p = sub.add_parser("simulate-g2", help="simulate a coincidence histogram")
-    p.add_argument("--preset", choices=sorted(timecorr.FIGURE_PRESETS),
-                   help="published-figure parameter bundle")
+    p.add_argument("--preset", help="published-figure parameter bundle, e.g. fig3")
     p.add_argument("--model", choices=("single", "beats"))
     for flag in _MODEL_FLAGS:
         p.add_argument("--" + flag.replace("_", "-"), type=float,
@@ -421,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-g2", help="fit a coincidence histogram")
     p.add_argument("--hist", required=True, help="histogram CSV file")
-    p.add_argument("--preset", choices=sorted(timecorr.FIGURE_PRESETS),
-                   help="take model kind and fixed parameters from a preset")
+    p.add_argument("--preset", help="take model kind and fixed parameters from a preset")
     p.add_argument("--model", choices=("single", "beats"))
     p.add_argument("--g0", type=float, help="initial amplitude (default: estimated)")
     p.add_argument("--tau-rise", type=float, default=3.0)
@@ -431,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-y", type=float)
     p.add_argument("--r", type=float)
     p.add_argument("--phi", type=float)
-    p.add_argument("--delta", type=float, default=timecorr.DEFAULT_DELTA)
+    p.add_argument("--delta", type=float, help="beat frequency in rad/ns (default: 2*pi*0.266)")
     p.add_argument("--background", type=float, default=0.0)
     p.add_argument("--free", default="g0,background",
                    help="comma-separated free parameters for the beats fit "

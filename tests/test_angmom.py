@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from biphoton.angmom import (
+    MAX_F,
     PATH_X,
     PATH_Y,
     AngularMomentum,
@@ -158,6 +159,12 @@ class TestCascadeLevels:
     def test_half_integer_levels_accepted(self):
         levels = CascadeLevels.of(1.5, 2.5, 1.5, 0.5)
         assert levels.two_f_g == 3
+
+    def test_f_above_bound_rejected(self):
+        CascadeLevels.of(MAX_F, MAX_F, MAX_F, MAX_F)
+        for f in (MAX_F + 1, 1e300):
+            with pytest.raises(ValueError, match=f"F above {MAX_F}"):
+                CascadeLevels.of(f, f, f, f)
 
 
 class TestPathCoupling:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -406,8 +407,14 @@ class TestBadFlagValues:
         (["beat-params", "--r", "nan", "--phi", "0"], "--r"),
         (["simulate-g2", "--preset", "fig3", "--g0", "nan", "--out", "h.csv"], "--g0"),
         (["fit-g2", "--hist", "h.csv", "--model", "single", "--g0", "nan"], "--g0"),
+        (["predict", "--levels", "1e300,1e300,1e300,1e300"], "--levels"),
+        (["beat-params", "--proj-s", ",,,", "--proj-i", "H"], "--proj-s"),
+        (["beat-params", "--proj-s", "H", "--proj-i", "0,0,0,0"], "--proj-i"),
+        (["simulate-g2", "--preset", "fig9", "--out", "h.csv"], "--preset"),
+        (["fit-g2", "--hist", "h.csv", "--preset", "fig9"], "--preset"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
-            "beat-r-nan", "simulate-g0-nan", "fit-g0-nan"])
+            "beat-r-nan", "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
+            "proj-i-zero", "simulate-preset", "fit-preset"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
@@ -416,6 +423,28 @@ class TestBadFlagValues:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+
+class TestBadFlagMessages:
+    def test_projector_spec_named(self, capsys):
+        code, _, err = run(capsys, "beat-params", "--proj-s", ",,,", "--proj-i", "H")
+        assert code == 1
+        assert "--proj-s" in err and "',,,'" in err and "could not convert" not in err
+
+    @pytest.mark.parametrize("argv", [["simulate-g2", "--preset", "fig9", "--out", "h.csv"],
+                                      ["fit-g2", "--hist", "h.csv", "--preset", "fig9"]])
+    def test_bad_preset_lists_the_presets(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: --preset")
+        assert all(name in err for name in bp.FIGURE_PRESETS)
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_huge_levels_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "predict", "--levels", "1e300,1e300,1e300,1e300")
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == "" and "--levels" in err
 
 
 class TestDeterminism:

@@ -24,11 +24,12 @@ NUMBERS = st.one_of(
     st.integers(-10, 10).map(str),
 )
 COUNTS = st.one_of(st.sampled_from(AWKWARD), st.integers(-3, 4).map(str))
-# Cascade F values: predict's cost grows steeply with F (about 80 s at
-# F = 1000), so the numeric part stays at the sizes of real hyperfine levels.
-LEVEL = st.one_of(st.sampled_from(AWKWARD), st.integers(-1, 6).map(str), st.sampled_from(["1/2", "5/2"]))
+# Cascade F values: those of real hyperfine levels, and values at and beyond
+# angmom.MAX_F, which is rejected before predict's cost grows steeply with F.
+LEVEL = st.one_of(st.sampled_from(AWKWARD), st.integers(-1, 6).map(str),
+                  st.sampled_from(["1/2", "5/2", "20", "21", "1000"]))
 LEVELS = st.one_of(st.lists(LEVEL, min_size=1, max_size=5).map(",".join),
-                   st.sampled_from(["2,2,3,3", "2,2,3,2", "1,1,2,2"]))
+                   st.sampled_from(["2,2,3,3", "2,2,3,2", "1,1,2,2", "19,19,20,20", "1000,1000,1000,1000"]))
 FUZZ = settings(max_examples=30, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 

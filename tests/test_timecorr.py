@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biphoton import timecorr
 from biphoton.csvio import FileFormatError
@@ -308,6 +309,14 @@ class TestFitSingle:
         assert fit.params.tau_rise == pytest.approx(tau_rise, rel=0.15)
         # reported 1-sigma is the same order as the published uncertainty
         assert reported_sigma / 10 <= fit.sigmas["tau_decay"] <= reported_sigma * 10
+
+    @settings(deadline=None, max_examples=300)
+    @given(counts=st.lists(st.integers(0, 5000), min_size=2, max_size=300),
+           jitter=st.floats(-0.5, 0.5))
+    def test_lower_decile_is_numpy_percentile_to_the_bit(self, counts, jitter):
+        values = np.asarray(counts, dtype=float) + jitter * (np.arange(len(counts)) % 3)
+        expected = float(np.percentile(values, 10))
+        assert timecorr._lower_decile(values).hex() == expected.hex()
 
     def test_histogram_must_cover_zero(self):
         truth = SinglePathParams(g0=100.0, tau_rise=3.0, tau_decay=5.0)
