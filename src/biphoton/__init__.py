@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 # Re-exported names, by the submodule that defines them.
 _EXPORTS = {
     "angmom": (
-        "PATH_X", "PATH_Y", "AngularMomentum", "CascadeLevels", "clebsch_gordan",
-        "path_coupling_x",
+        "PATH_X", "PATH_Y", "CascadeLevels", "path_coupling_x",
     ),
     "entanglement": (
         "concurrence", "entanglement_of_formation", "eof_from_concurrence", "fidelity", "purity",

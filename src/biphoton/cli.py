@@ -267,90 +267,78 @@ def _simulate_model(kind: str):
     return timecorr.BeatModelParams(g0=1000.0, tau_x=5.6, tau_y=13.1, r=1.0, phi=0.0)
 
 
-def _preset(name: str):
-    """The figure preset of --preset, checked here so that the parser needs no timecorr."""
+def _preset(args):
+    """The figure preset of --preset, or None under --model: exactly one of the two is
+    given.  The preset is checked here so that the parser needs no timecorr."""
     from .timecorr import FIGURE_PRESETS
 
-    if name not in FIGURE_PRESETS:
-        raise ValueError(f"--preset must be one of {', '.join(sorted(FIGURE_PRESETS))}, got {name!r}")
-    return FIGURE_PRESETS[name]
+    if not args.preset:
+        if args.model is None:
+            raise ValueError("specify --preset or --model")
+        return None
+    if args.model is not None:
+        raise ValueError("--model cannot be combined with --preset")
+    if args.preset not in FIGURE_PRESETS:
+        raise ValueError(f"--preset must be one of {', '.join(sorted(FIGURE_PRESETS))}, got {args.preset!r}")
+    return FIGURE_PRESETS[args.preset]
 
 
-def _model_from_args(args):
-    if args.preset:
-        if args.model is not None:
-            raise ValueError("--model cannot be combined with --preset")
-        preset = _preset(args.preset)
-        model = preset.model
-        bin_width = args.bin_width if args.bin_width is not None else preset.bin_width
-        t_min = args.t_min if args.t_min is not None else preset.t_range[0]
-        t_max = args.t_max if args.t_max is not None else preset.t_range[1]
-    elif args.model is None:
-        raise ValueError("specify --preset or --model")
-    elif args.bin_width is None or args.t_min is None or args.t_max is None:
-        raise ValueError("--bin-width, --t-min and --t-max are required without --preset")
-    else:
-        model = _simulate_model(args.model)
-        bin_width, t_min, t_max = args.bin_width, args.t_min, args.t_max
+def _with_model_flags(args, model):
+    """``model`` with each model flag given replacing its field."""
     given = {name: getattr(args, name) for name in _MODEL_FLAGS if getattr(args, name) is not None}
     for name in given:
         if name not in model.__dataclass_fields__:
             raise ValueError(f"--{name.replace('_', '-')} is not a parameter of the "
                              f"{type(model).__name__} model")
-    return replace(model, **given), bin_width, (t_min, t_max)
+    return replace(model, **given)
 
 
 def _cmd_simulate_g2(args) -> int:
     from . import timecorr
 
     seed = _resolve_seed(args)
-    model, bin_width, t_range = _model_from_args(args)
-    hist = timecorr.simulate_histogram(model, bin_width, t_range, seed)
+    preset = _preset(args)
+    if preset is not None:
+        model = preset.model
+        bin_width = args.bin_width if args.bin_width is not None else preset.bin_width
+        t_min = args.t_min if args.t_min is not None else preset.t_range[0]
+        t_max = args.t_max if args.t_max is not None else preset.t_range[1]
+    elif None in (args.bin_width, args.t_min, args.t_max):
+        raise ValueError("--bin-width, --t-min and --t-max are required without --preset")
+    else:
+        model = _simulate_model(args.model)
+        bin_width, t_min, t_max = args.bin_width, args.t_min, args.t_max
+    hist = timecorr.simulate_histogram(_with_model_flags(args, model), bin_width, (t_min, t_max), seed)
     meta = _meta(args, seed, [])
     timecorr.write_histogram_csv(hist, args.out, comments=_meta_comments(meta))
     return 0
 
 
 def _cmd_fit_g2(args) -> int:
+    """Fit from the preset's model, else from the estimate of a single-path
+    histogram or a beats model with the shape flags given; a model flag
+    replaces its field of that start."""
     from . import timecorr
 
-    if args.preset:
-        preset_model = _preset(args.preset).model
-        model_kind = "single" if isinstance(preset_model, timecorr.SinglePathParams) else "beats"
-    else:
-        preset_model = None
-        model_kind = args.model
-    if model_kind is None:
-        raise ValueError("specify --preset or --model")
+    preset = _preset(args)
     hist = timecorr.read_histogram_csv(args.hist)
-
-    if model_kind == "single":
-        if preset_model is not None:
-            init = preset_model if args.g0 is None else replace(preset_model, g0=args.g0)
-        elif args.g0 is not None:
-            init = timecorr.SinglePathParams(
-                g0=args.g0, tau_rise=args.tau_rise, tau_decay=args.tau_decay,
-                background=args.background,
-            )
-        else:
-            init = timecorr.estimate_single_init(hist)
-        fit = timecorr.fit_single(hist, init, fit_offset=args.fit_offset)
+    if preset is not None:
+        start = preset.model
+    elif args.model == "single":
+        start = timecorr.estimate_single_init(hist)
+    elif None in (args.tau_x, args.tau_y, args.r, args.phi):
+        raise ValueError("beats fit needs --preset or all of --tau-x, --tau-y, --r, --phi")
     else:
-        if preset_model is not None:
-            base = preset_model
-        else:
-            if args.tau_x is None or args.tau_y is None or args.r is None or args.phi is None:
-                raise ValueError(
-                    "beats fit needs --preset or all of --tau-x, --tau-y, --r, --phi"
-                )
-            base = timecorr.BeatModelParams(
-                g0=args.g0 if args.g0 is not None else 1.0,
-                tau_x=args.tau_x, tau_y=args.tau_y, r=args.r, phi=args.phi,
-                delta=timecorr.DEFAULT_DELTA if args.delta is None else args.delta,
-                background=args.background,
-            )
+        start = timecorr.BeatModelParams(g0=1.0, tau_x=args.tau_x, tau_y=args.tau_y, r=args.r, phi=args.phi)
+    model = _with_model_flags(args, start)
+
+    if isinstance(model, timecorr.SinglePathParams):
+        model_kind = "single"
+        fit = timecorr.fit_single(hist, model, fit_offset=args.fit_offset)
+    else:
+        model_kind = "beats"
         free = tuple(name.strip() for name in args.free.split(",") if name.strip())
-        fit = timecorr.fit_beats(hist, base, free=free, fit_offset=args.fit_offset)
+        fit = timecorr.fit_beats(hist, model, free=free, fit_offset=args.fit_offset)
 
     payload = {
         "meta": _meta(args, None, [args.hist]),
@@ -411,6 +399,14 @@ def _add_target(parser) -> None:
     group.add_argument("--target", help="fidelity target: ket JSON file")
 
 
+def _add_model_flags(parser) -> None:
+    parser.add_argument("--model", choices=("single", "beats"))
+    for flag in _MODEL_FLAGS:
+        parser.add_argument("--" + flag.replace("_", "-"), type=float,
+                            help="model parameter (times in ns, delta in rad/ns); replaces "
+                                 "its value in the preset's or --model's starting model")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biphoton",
@@ -458,11 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-g2", help="simulate a coincidence histogram")
     p.add_argument("--preset", help="published-figure parameter bundle, e.g. fig3")
-    p.add_argument("--model", choices=("single", "beats"))
-    for flag in _MODEL_FLAGS:
-        p.add_argument("--" + flag.replace("_", "-"), type=float,
-                       help="model parameter (times in ns, delta in rad/ns); "
-                            "replaces the preset's or the default value")
+    _add_model_flags(p)
     p.add_argument("--bin-width", type=float, help="bin width in ns")
     p.add_argument("--t-min", type=float)
     p.add_argument("--t-max", type=float)
@@ -473,16 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-g2", help="fit a coincidence histogram")
     p.add_argument("--hist", required=True, help="histogram CSV file")
     p.add_argument("--preset", help="take model kind and fixed parameters from a preset")
-    p.add_argument("--model", choices=("single", "beats"))
-    p.add_argument("--g0", type=float, help="initial amplitude (default: estimated)")
-    p.add_argument("--tau-rise", type=float, default=3.0)
-    p.add_argument("--tau-decay", type=float, default=6.0)
-    p.add_argument("--tau-x", type=float)
-    p.add_argument("--tau-y", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--delta", type=float, help="beat frequency in rad/ns (default: 2*pi*0.266)")
-    p.add_argument("--background", type=float, default=0.0)
+    _add_model_flags(p)
     p.add_argument("--free", default="g0,background",
                    help="comma-separated free parameters for the beats fit "
                         "(default: g0,background)")

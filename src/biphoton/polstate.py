@@ -81,7 +81,7 @@ class Projector:
 
     def __post_init__(self) -> None:
         norm2 = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"projector not normalized: |c|^2 = {norm2!r}")
 
     @classmethod
@@ -132,7 +132,7 @@ class BiphotonKet:
         object.__setattr__(self, "amplitudes", amps)
         _check_basis(self.basis)
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"ket not normalized: |psi|^2 = {norm2!r}")
 
     @classmethod
@@ -162,10 +162,10 @@ class DensityMatrix4:
         object.__setattr__(self, "matrix", mat)
         _check_basis(self.basis)
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > 1e-12:
+        if not herm_dev <= 1e-12:  # NaN fails too
             raise ValueError(f"matrix not Hermitian: max deviation {herm_dev!r}")
         trace_dev = abs(complex(np.trace(mat)) - 1.0)
-        if trace_dev > 1e-12:
+        if not trace_dev <= 1e-12:
             raise ValueError(f"trace differs from 1 by {trace_dev!r}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
         if min_eig < self.eig_floor:
@@ -192,7 +192,7 @@ class PathAmplitudes:
         if self.a0 < 0 or self.a1 < 0:
             raise ValueError("amplitudes must be non-negative")
         norm2 = self.a0**2 + self.a1**2
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"amplitudes not normalized: a0^2 + a1^2 = {norm2!r}")
         if not (-math.pi < self.phi0 <= math.pi):
             raise ValueError(f"phi0 must lie in (-pi, pi], got {self.phi0!r}")

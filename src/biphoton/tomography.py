@@ -285,13 +285,14 @@ _E[np.arange(5, 16, 2), _TRIL[0], _TRIL[1]] = 1j
 # by 10 after a rejected one.  A step is accepted when ll does not fall by
 # more than its rounding, _ROUNDING |ll|.  The ascent stops at an accepted
 # step with lambda at most _UNDAMPED that gains less than _GAIN_TOL |ll|, and
-# fails once lambda exceeds _DAMPING_MAX or the iterations run out.
+# fails once lambda exceeds _DAMPING_MAX or _MAX_ITERATIONS steps run out.
 _DAMPING = 1e-3
 _DAMPING_MIN = 1e-12
 _UNDAMPED = 1e-6
 _DAMPING_MAX = 1e16
 _GAIN_TOL = 1e-13
 _ROUNDING = 1e-14
+_MAX_ITERATIONS = 10_000
 
 
 def _lower_t_factor(mat: np.ndarray) -> np.ndarray:
@@ -367,7 +368,7 @@ def _positive_definite(systems: np.ndarray) -> np.ndarray:
     return np.ones(len(systems), dtype=bool)
 
 
-def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray, max_iterations: int):
+def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray):
     """Damped Newton ascent of every problem in the stack.  Returns the final
     parameters, iteration counts, damping, gradient max-norm and a converged
     flag per problem; a problem that stops is written out and leaves the stack."""
@@ -376,7 +377,7 @@ def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray,
     damping = np.full(len(x), _DAMPING)
     out_x, out_damping, grad_max = x.copy(), damping.copy(), np.max(np.abs(grad), axis=-1)
     out_iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x) if max_iterations > 0 else 0)
+    live = np.arange(len(x))
     iterations = 0  # every live problem has taken this many steps
     eye = np.eye(16)
     while len(live):
@@ -396,7 +397,7 @@ def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray,
         ll = np.where(accept, ll_trial, ll)
         grad = np.where(accept[:, None], grad_trial, grad)
         hess = np.where(accept[:, None, None], hess_trial, hess)
-        stop = done | (iterations >= max_iterations) | (damping > _DAMPING_MAX)
+        stop = done | (iterations >= _MAX_ITERATIONS) | (damping > _DAMPING_MAX)
         if stop.any():
             j = live[stop]
             out_x[j], out_damping[j], grad_max[j] = x[stop], damping[stop], np.max(np.abs(grad[stop]), axis=-1)
@@ -437,21 +438,19 @@ def _mle_seed(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return (_lower_t_factor(mat).reshape(-1, 16) @ _E.reshape(16, 16).conj().T).real
 
 
-def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray, max_iterations: int = 10_000):
+def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray):
     """Linear-basis MLE states (B, 4, 4) and iteration counts (B,) for analyzer kets
     (n, 4), counts (B, n) and exposures (n,), solved together with the results of
     stacks of one.  The first problem not converged raises ConvergenceError."""
     x0 = _mle_seed(_design(vectors), counts / exposures)
     if np.any(np.sum(counts, axis=1) <= 0):
         raise DegenerateCountsError("all settings recorded zero counts")
-    x, iterations, damping, grad_max, converged = _ascend(
-        x0, *_quadratic_forms(vectors, exposures), counts, max_iterations
-    )
+    x, iterations, damping, grad_max, converged = _ascend(x0, *_quadratic_forms(vectors, exposures), counts)
     mats = _rho_from_params(x)
     failed = np.flatnonzero(~converged)
     if len(failed):
         b = failed[0]
-        cause = "iteration cap" if iterations[b] >= max_iterations else "damping overflow"
+        cause = "iteration cap" if iterations[b] >= _MAX_ITERATIONS else "damping overflow"
         raise ConvergenceError(
             f"MLE did not converge: damped Newton stopped ({cause}) after "
             f"{iterations[b]} iterations, damping {damping[b]:.3g}, "
@@ -470,15 +469,13 @@ def _result(mat, counts, iterations, vectors, exposures) -> TomographyResult:
     )
 
 
-def _mle(vectors, counts, exposures, max_iterations: int = 10_000) -> list[TomographyResult]:
+def _mle(vectors, counts, exposures) -> list[TomographyResult]:
     """_solve, with a validated state and its profiled log-likelihood per problem."""
-    mats, iterations = _solve(vectors, counts, exposures, max_iterations)
+    mats, iterations = _solve(vectors, counts, exposures)
     return [_result(*problem, vectors, exposures) for problem in zip(mats, counts, iterations)]
 
 
-def reconstruct_mle(
-    records: list[CountsRecord], *, max_iterations: int = 10_000
-) -> TomographyResult:
+def reconstruct_mle(records: list[CountsRecord]) -> TomographyResult:
     """Maximum-likelihood state reconstruction, positive semidefinite by construction.
 
     The state is parameterized as T^dagger T / Tr[T^dagger T] with a
@@ -489,13 +486,13 @@ def reconstruct_mle(
     evaluated with its derivatives once per step, at the trial point.  The
     ascent counts as converged at a nearly undamped step that
     gains less than 1e-13 of the log-likelihood; running out of
-    ``max_iterations`` steps (``iterations`` counts every step tried,
-    accepted or not) or of damping raises :class:`ConvergenceError`,
+    10,000 steps (``iterations`` counts every step tried, accepted or
+    not) or of damping raises :class:`ConvergenceError`,
     which carries the best iterate and names the iteration count, the final
     damping and the gradient max-norm.
     """
     vectors, counts, exposures = _arrays(records)
-    return _mle(vectors, counts[None], exposures, max_iterations)[0]
+    return _mle(vectors, counts[None], exposures)[0]
 
 
 def resample_uncertainties(

@@ -1,5 +1,5 @@
-"""Coupling coefficients: exact values, selection rules, and an independent
-ladder-operator recursion oracle."""
+"""Dipole coupling coefficients: exact values, selection rules, an independent
+ladder-operator recursion oracle, and the bits of the predicted couplings."""
 
 import math
 
@@ -10,18 +10,16 @@ from biphoton.angmom import (
     MAX_F,
     PATH_X,
     PATH_Y,
-    AngularMomentum,
     CascadeLevels,
-    clebsch_gordan,
+    _dipole_cg,
     path_coupling_x,
 )
+from biphoton.polstate import predict_path_state
 
 
-def cg(j1, m1, j2, m2, j3, m3) -> float:
-    """clebsch_gordan on plain quantum numbers (ints or half-ints)."""
-    return clebsch_gordan(
-        AngularMomentum.of(j1, m1), AngularMomentum.of(j2, m2), AngularMomentum.of(j3, m3)
-    )
+def _dipole_js(tj1: int) -> range:
+    """Doubled J reachable from doubled j1 with one photon."""
+    return range(max(tj1 - 2, 2 - tj1), tj1 + 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -75,76 +73,48 @@ def _recursion_cg_table(tj1: int, tj2: int):
 
 class TestClebschGordan:
     def test_stretched_state(self):
-        assert cg(0.5, 0.5, 0.5, 0.5, 1, 1) == 1.0
+        assert _dipole_cg(2, 2, 1, 4) == 1.0
+        assert _dipole_cg(1, -1, -1, 3) == 1.0
 
     def test_closed_form_value(self):
-        # Racah closed form gives <1 1; 1 -1 | 0 0> = 1/sqrt(3)
-        assert cg(1, 1, 1, -1, 0, 0) == pytest.approx(1 / math.sqrt(3), abs=1e-15)
+        # <1 1; 1 -1 | 0 0> = 1/sqrt(3)
+        assert _dipole_cg(2, 2, -1, 0) == pytest.approx(1 / math.sqrt(3), abs=1e-15)
 
     def test_selection_rules_zero(self):
-        assert cg(2, 2, 1, 1, 2, 2) == 0.0       # m1 + m2 != M
-        assert cg(2, 2, 1, -1, 2, 2) == 0.0      # again m mismatch
-        assert cg(2, 0, 1, 0, 4, 0) == 0.0       # triangle violated
+        assert _dipole_cg(4, 0, 0, 8) == 0.0     # triangle violated
+        assert _dipole_cg(0, 0, 0, 0) == 0.0     # j = 0 cannot couple to J = 0
+        assert _dipole_cg(2, 4, -1, 2) == 0.0    # |m| > j
+        assert _dipole_cg(2, 1, 0, 2) == 0.0     # j and m of different parity
+        assert _dipole_cg(4, 4, 1, 2) == 0.0     # |m + q| > J
+        assert _dipole_cg(4, 0, 0, 4) == 0.0     # <2 0; 1 0 | 2 0> vanishes
 
-    def test_invalid_projection_raises(self):
-        with pytest.raises(ValueError):
-            AngularMomentum.of(1, 2)
-
-    def test_invalid_parity_raises(self):
-        with pytest.raises(ValueError):
-            AngularMomentum(2, 1)
-
-    def test_matches_recursion_oracle_all_j_up_to_3(self):
-        for tj1 in range(0, 7):
-            for tj2 in range(0, 7):
-                table, index = _recursion_cg_table(tj1, tj2)
-                for (tj, tm), vec in table.items():
-                    for (tm1, tm2), i in index.items():
-                        if tm1 + tm2 != tm:
-                            continue
-                        mine = clebsch_gordan(
-                            AngularMomentum(tj1, tm1),
-                            AngularMomentum(tj2, tm2),
-                            AngularMomentum(tj, tm),
-                        )
-                        assert mine == pytest.approx(vec[i], abs=1e-12)
+    def test_matches_recursion_oracle_for_dipole(self):
+        for tj1 in range(0, 2 * MAX_F + 1):
+            table, index = _recursion_cg_table(tj1, 2)
+            for (tj, tm), vec in table.items():
+                for (tm1, tm2), i in index.items():
+                    if tm1 + tm2 == tm:
+                        assert _dipole_cg(tj1, tm1, tm2 // 2, tj) == pytest.approx(vec[i], abs=1e-12)
 
     def test_orthonormality(self):
-        for tj1, tj2 in [(2, 2), (4, 2), (6, 4), (3, 2), (5, 3)]:
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                for tm in range(-tj, tj + 1, 2):
-                    total = sum(
-                        clebsch_gordan(
-                            AngularMomentum(tj1, tm1),
-                            AngularMomentum(tj2, tm - tm1),
-                            AngularMomentum(tj, tm),
+        for tj1 in range(0, 2 * MAX_F + 1):
+            for tj in _dipole_js(tj1):
+                for tj_other in _dipole_js(tj1):
+                    for tm in range(-min(tj, tj_other), min(tj, tj_other) + 1, 2):
+                        total = sum(
+                            _dipole_cg(tj1, tm - 2 * q, q, tj) * _dipole_cg(tj1, tm - 2 * q, q, tj_other)
+                            for q in (-1, 0, 1)
                         )
-                        ** 2
-                        for tm1 in range(-tj1, tj1 + 1, 2)
-                        if abs(tm - tm1) <= tj2 and (tj2 - (tm - tm1)) % 2 == 0
-                    )
-                    assert total == pytest.approx(1.0, abs=1e-12)
+                        assert total == pytest.approx(float(tj == tj_other), abs=1e-12)
 
     def test_m_negation_symmetry(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            tj1, tj2 = rng.integers(0, 7, size=2)
-            tjs = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-            tj = int(rng.choice(list(tjs)))
-            tm1 = int(rng.integers(-tj1, tj1 + 1))
-            tm2 = int(rng.integers(-tj2, tj2 + 1))
-            if (tj1 - tm1) % 2 or (tj2 - tm2) % 2 or abs(tm1 + tm2) > tj:
-                continue
-            direct = _cg(tj1, tm1, tj2, tm2, tj, tm1 + tm2)
-            flipped = _cg(tj1, -tm1, tj2, -tm2, tj, -(tm1 + tm2))
-            phase = (-1.0) ** ((tj1 + tj2 - tj) // 2)
-            assert direct == pytest.approx(phase * flipped, abs=1e-12)
-
-
-def _cg(tj1, tm1, tj2, tm2, tj, tm):
-    return clebsch_gordan(
-        AngularMomentum(tj1, tm1), AngularMomentum(tj2, tm2), AngularMomentum(tj, tm)
-    )
+        # <j -m; 1 -q | J -M> = (-1)^(j + 1 - J) <j m; 1 q | J M>, to the bit
+        for tj1 in range(0, 2 * MAX_F + 1):
+            for tj in _dipole_js(tj1):
+                phase = (-1.0) ** ((tj1 + 2 - tj) // 2)
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for q in (-1, 0, 1):
+                        assert _dipole_cg(tj1, -tm1, -q, tj) == phase * _dipole_cg(tj1, tm1, q, tj)
 
 
 class TestCascadeLevels:
@@ -206,13 +176,31 @@ class TestPathCoupling:
         assert path_coupling_x(levels, +1, -1) != 0.0
         assert path_coupling_x(levels, -1, +1) == 0.0
 
-    def test_sum_unchanged_by_extended_m_range(self):
-        for levels in (PATH_X, PATH_Y):
-            for alphas in [(+1, -1), (-1, +1)]:
-                base = path_coupling_x(levels, *alphas)
-                extended = path_coupling_x(levels, *alphas, m_margin=3)
-                assert extended == base
-
     def test_invalid_helicity_raises(self):
         with pytest.raises(ValueError):
             path_coupling_x(PATH_X, 0, 1)
+
+
+# float.hex of path_coupling_x for the channels (+1, -1), (-1, +1), (+1, +1),
+# (-1, -1) and of the a0, a1 and phi0 that predict_path_state gives, as
+# computed by Racah's general formula in exact rationals.
+PINNED_BITS = {
+    (2, 2, 3, 3): ("-0x1.c28979bff0bd8p-2", "0x1.51e71b4ff48e2p-1", "0x0.0p+0", "0x0.0p+0",
+                   "0x1.1c01aa03be896p-1", "0x1.aa027f059dce0p-1", "0x1.921fb54442d18p+1"),
+    (2, 2, 3, 2): ("0x1.16c16c16c16c2p-1", "-0x1.ddddddddddddep-3", "0x0.0p+0", "0x0.0p+0",
+                   "0x1.d69a2d686ac02p-1", "0x1.935f94a2a4a4ap-2", "0x1.921fb54442d18p+1"),
+    (1, 0, 1, 0): ("0x1.5555555555555p-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                   "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+    (1.5, 2.5, 1.5, 0.5): ("0x1.d8f7208e6b82dp-4", "0x1.62b9586ad0a23p-1", "0x0.0p+0", "0x0.0p+0",
+                           "0x1.50b06a8fc6b6fp-3", "0x1.f9089fd7aa128p-1", "0x0.0p+0"),
+    (19, 20, 20, 19): ("-0x1.5d6dd6da8e473p+1", "0x1.06126123eab55p+2", "0x0.0p+0", "0x0.0p+0",
+                       "0x1.1c01aa03be896p-1", "0x1.aa027f059dcdfp-1", "0x1.921fb54442d18p+1"),
+}
+
+
+@pytest.mark.parametrize("f_values", list(PINNED_BITS))
+def test_couplings_and_path_state_bits(f_values):
+    levels = CascadeLevels.of(*f_values)
+    couplings = [path_coupling_x(levels, s, i) for s, i in ((1, -1), (-1, 1), (1, 1), (-1, -1))]
+    state = predict_path_state(levels)
+    assert tuple(x.hex() for x in (*couplings, state.a0, state.a1, state.phi0)) == PINNED_BITS[f_values]

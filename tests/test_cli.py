@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,6 +225,20 @@ class TestTomographyPipeline:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["beat-params", "reconstruct"])
+    def test_non_finite_ket_file_names_file(self, capsys, tmp_path, monkeypatch, literal, command):
+        monkeypatch.chdir(tmp_path)
+        ket = tmp_path / "bad.json"
+        ket.write_text(f'{{"basis": "circular", "amplitudes": [[{literal}, 0], [1, 0], [0, 0], [0, 0]]}}\n')
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
+        argv = {"beat-params": ["--ket-x", str(ket), "--proj-s", "H", "--proj-i", "V"],
+                "reconstruct": ["--counts", "counts.csv", "--target", str(ket)]}[command]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(ket) in err and "not normalized" in err
+
+
 class TestG2Pipeline:
     def test_preset_simulation_and_fit(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -355,6 +370,50 @@ class TestG2Pipeline:
         init = seen["init"]
         assert init.g0 == 1500.0
         assert (init.tau_rise, init.tau_decay, init.background) == (3.3, 13.1, 10.0)
+
+
+    def test_fit_single_flag_replaces_estimated_field(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-g2", "--preset", "fig2x", "--seed", "6", "--out", "hist.csv")
+        seen = {}
+        fit_single = bp.timecorr.fit_single
+
+        def spy(hist, init, **kwargs):
+            seen["init"] = init
+            return fit_single(hist, init, **kwargs)
+
+        monkeypatch.setattr(bp.timecorr, "fit_single", spy)
+        run_json(capsys, "fit-g2", "--hist", "hist.csv", "--model", "single", "--tau-rise", "2.5")
+        estimate = bp.timecorr.estimate_single_init(bp.timecorr.read_histogram_csv("hist.csv"))
+        assert seen["init"] == replace(estimate, tau_rise=2.5)
+
+    def test_fit_preset_flag_replaces_field(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "6", "--out", "hist.csv")
+        seen = {}
+        fit_beats = bp.timecorr.fit_beats
+
+        def spy(hist, params, **kwargs):
+            seen["params"] = params
+            return fit_beats(hist, params, **kwargs)
+
+        monkeypatch.setattr(bp.timecorr, "fit_beats", spy)
+        payload = run_json(capsys, "fit-g2", "--hist", "hist.csv", "--preset", "fig3",
+                           "--r", "0.5", "--tau-x", "6")
+        assert seen["params"] == replace(bp.FIGURE_PRESETS["fig3"].model, r=0.5, tau_x=6.0)
+        assert payload["fit"]["params"]["r"] == 0.5
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--preset", "fig3", "--r", "0", "--tau-rise", "7"], "--tau-rise"),
+        (["--model", "single", "--tau-x", "3"], "--tau-x"),
+        (["--preset", "fig2x", "--model", "single"], "--model"),
+    ], ids=["preset-lacks-flag", "model-lacks-flag", "preset-and-model"])
+    def test_fit_rejects_model_flag(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-g2", "--preset", "fig2x", "--seed", "6", "--out", "hist.csv")
+        code, out, err = run(capsys, "fit-g2", "--hist", "hist.csv", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
 
 class TestBeatParamsCommand:

@@ -1,4 +1,5 @@
-"""Fuzzing the command-line boundary: arbitrary numeric strings in the flags.
+"""Fuzzing the command-line boundary: arbitrary numeric strings in the flags,
+and arbitrary contents of the ket, counts and histogram files.
 
 Every run must end one of two ways: ``main`` returns 0, with strict JSON (no
 NaN or Infinity) if it writes to stdout, or it returns 1 and prints one
@@ -9,6 +10,7 @@ No other exception may escape ``main``.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,6 +38,31 @@ FUZZ = settings(max_examples=30, deadline=None, derandomize=True,
 SINGLE_FLAGS = ("g0", "tau-rise", "tau-decay", "background")
 BEAT_FLAGS = ("g0", "tau-x", "tau-y", "r", "phi", "delta", "background")
 
+# Ket files: JSON of any shape, kets of wrong shapes or fields, and unit kets
+# with and without a NaN or infinite component (json.dumps writes these as
+# the NaN and Infinity literals).
+JSON_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3))
+JSON_VALUE = st.recursive(st.one_of(st.none(), st.booleans(), JSON_NUMBER, st.text(max_size=3)),
+                          lambda inner: st.one_of(st.lists(inner, max_size=5),
+                                                  st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+                          max_leaves=10)
+MALFORMED_KET = st.one_of(JSON_VALUE, st.fixed_dictionaries({
+    "basis": st.sampled_from(["circular", "linear", "polar", 1]),
+    "amplitudes": st.one_of(st.lists(st.lists(JSON_NUMBER, max_size=3), max_size=5), JSON_VALUE),
+}))
+UNIT_KET = st.lists(st.floats(-1, 1), min_size=8, max_size=8).filter(any).map(
+    lambda xs: [[x / math.hypot(*xs), y / math.hypot(*xs)] for x, y in zip(xs[::2], xs[1::2])])
+NON_FINITE_KET = st.tuples(UNIT_KET, st.integers(0, 7), st.sampled_from([math.nan, math.inf, -math.inf])).map(
+    lambda t: [[t[2] if 2 * k + j == t[1] else x for j, x in enumerate(pair)] for k, pair in enumerate(t[0])])
+KET = st.fixed_dictionaries({"basis": st.sampled_from(["circular", "linear"]),
+                             "amplitudes": st.one_of(UNIT_KET, NON_FINITE_KET)})
+# CSV fields: awkward numbers, and text with the separators and quotes of the format.
+FIELD = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                  st.integers(-5, 10**6).map(str), st.text(alphabet='0.,"x# e-', max_size=5))
+# A row of its own, or edits to some fields of the row it replaces.
+ROW = st.one_of(st.lists(FIELD, max_size=12),
+                st.dictionaries(st.integers(0, 10), FIELD, min_size=1, max_size=3))
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
@@ -46,6 +73,19 @@ def inputs(tmp_path_factory):
                  ["simulate-g2", "--preset", "fig3", "--seed", "1", "--out", str(d / "hb.csv")]):
         assert main(argv) == 0
     return d
+
+
+def edit_row(source, target, line: int, row) -> None:
+    """Copy ``source`` to ``target`` with its line ``line`` (0-based; past the
+    end appends) replaced by ``row``: a list of fields, or a dict of field
+    edits to the line it replaces."""
+    lines = source.read_text().splitlines()
+    line = min(line, len(lines))
+    if isinstance(row, dict):
+        fields = lines[min(line, len(lines) - 1)].split(",")
+        row = [row.get(k, field) for k, field in enumerate(fields)]
+    lines[line:line + 1] = [",".join(row)]
+    target.write_text("\n".join(lines) + "\n")
 
 
 def outcome(capsys, argv) -> None:
@@ -117,3 +157,37 @@ def test_fit_beats_model_flags(capsys, inputs, flags):
     base = {"tau-x": "5.6", "tau-y": "13.1", "r": "1", "phi": "0"} | flags
     argv = ["fit-g2", "--hist", str(inputs / "hb.csv"), "--model", "beats"]
     outcome(capsys, argv + [arg for name, value in base.items() for arg in ("--" + name, value)])
+
+
+def ket_file_outcomes(capsys, counts, tmp_path, ket) -> None:
+    path = tmp_path / "ket.json"
+    path.write_text(json.dumps(ket))
+    outcome(capsys, ["beat-params", "--ket-x", str(path), "--proj-s", "H", "--proj-i", "V"])
+    outcome(capsys, ["reconstruct", "--counts", str(counts), "--target", str(path)])
+    outcome(capsys, ["simulate-tomo", "--ket", str(path), "--n", "100", "--out", str(tmp_path / "c.csv")])
+
+
+@FUZZ
+@given(ket=MALFORMED_KET)
+def test_malformed_ket_file(capsys, inputs, tmp_path, ket):
+    ket_file_outcomes(capsys, inputs / "c.csv", tmp_path, ket)
+
+
+@FUZZ
+@given(ket=KET)
+def test_ket_file_amplitudes(capsys, inputs, tmp_path, ket):
+    ket_file_outcomes(capsys, inputs / "c.csv", tmp_path, ket)
+
+
+@FUZZ
+@given(line=st.integers(0, 45), row=ROW, method=st.sampled_from(["mle", "linear"]))
+def test_counts_rows(capsys, inputs, tmp_path, line, row, method):
+    edit_row(inputs / "c.csv", tmp_path / "c.csv", line, row)
+    outcome(capsys, ["reconstruct", "--counts", str(tmp_path / "c.csv"), "--method", method])
+
+
+@FUZZ
+@given(line=st.integers(0, 85), row=ROW, model=st.sampled_from(["--preset=fig2x", "--model=single"]))
+def test_histogram_rows(capsys, inputs, tmp_path, line, row, model):
+    edit_row(inputs / "hs.csv", tmp_path / "h.csv", line, row)
+    outcome(capsys, ["fit-g2", "--hist", str(tmp_path / "h.csv"), model])

@@ -22,8 +22,7 @@ def _env() -> dict:
 
 # The names `biphoton` re-exports from its submodules.
 EXPORTED = {
-    "angmom": ["PATH_X", "PATH_Y", "AngularMomentum", "CascadeLevels", "clebsch_gordan",
-               "path_coupling_x"],
+    "angmom": ["PATH_X", "PATH_Y", "CascadeLevels", "path_coupling_x"],
     "entanglement": ["concurrence", "entanglement_of_formation", "eof_from_concurrence", "fidelity",
                      "purity"],
     "polstate": ["CIRCULAR", "LINEAR", "BiphotonKet", "DensityMatrix4", "PathAmplitudes", "Projector",

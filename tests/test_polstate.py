@@ -384,9 +384,36 @@ class TestProjectorValidation:
         with pytest.raises(ValueError):
             Projector(1.0 + 0.0j, 1.0 + 0.0j)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            Projector(complex(math.nan, 0.0), 0.0j)
+
     def test_named_set(self):
         for name in "HVDALR":
             vec = named_projector(name).vector(LINEAR)
             assert np.sum(np.abs(vec) ** 2) == pytest.approx(1.0, abs=1e-15)
         # circular components of |L> are (1, 0)
         assert np.allclose(named_projector("L").vector(CIRCULAR), [1, 0], atol=1e-15)
+
+
+class TestNanRejected:
+    """A NaN compares False with every bound, so each check must fail on it."""
+
+    def test_ket(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            BiphotonKet(np.array([math.nan, 1.0, 0.0, 0.0]))
+
+    def test_ket_from_dict(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            ket_from_dict({"basis": CIRCULAR, "amplitudes": [[math.nan, 0.0]] + [[0.0, 0.0]] * 3})
+
+    def test_path_amplitudes(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            PathAmplitudes(math.nan, 1.0, 0.0)
+
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_density_matrix(self, index):
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[index] = math.nan
+        with pytest.raises(ValueError):
+            DensityMatrix4(mat)
