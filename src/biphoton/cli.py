@@ -284,13 +284,18 @@ def _preset(args):
 
 
 def _with_model_flags(args, model):
-    """``model`` with each model flag given replacing its field."""
+    """``model`` with each model flag given replacing its field; a value the
+    model rejects is reported under its flag."""
     given = {name: getattr(args, name) for name in _MODEL_FLAGS if getattr(args, name) is not None}
     for name in given:
         if name not in model.__dataclass_fields__:
             raise ValueError(f"--{name.replace('_', '-')} is not a parameter of the "
                              f"{type(model).__name__} model")
-    return replace(model, **given)
+    try:
+        return replace(model, **given)
+    except ValueError as exc:  # the model names the rejected field, a given one, first
+        name, _, rule = str(exc).partition(" ")
+        raise ValueError(f"--{name.replace('_', '-')} {rule}") from None
 
 
 def _cmd_simulate_g2(args) -> int:
@@ -328,8 +333,8 @@ def _cmd_fit_g2(args) -> int:
         start = timecorr.estimate_single_init(hist)
     elif None in (args.tau_x, args.tau_y, args.r, args.phi):
         raise ValueError("beats fit needs --preset or all of --tau-x, --tau-y, --r, --phi")
-    else:
-        start = timecorr.BeatModelParams(g0=1.0, tau_x=args.tau_x, tau_y=args.tau_y, r=args.r, phi=args.phi)
+    else:  # the four shape flags replace the placeholders
+        start = timecorr.BeatModelParams(g0=1.0, tau_x=1.0, tau_y=1.0, r=0.0, phi=0.0)
     model = _with_model_flags(args, start)
 
     if isinstance(model, timecorr.SinglePathParams):
@@ -338,6 +343,10 @@ def _cmd_fit_g2(args) -> int:
     else:
         model_kind = "beats"
         free = tuple(name.strip() for name in args.free.split(",") if name.strip())
+        try:
+            timecorr._check_free(free)
+        except ValueError as exc:
+            raise ValueError(f"--free {args.free!r}: {exc}") from None
         fit = timecorr.fit_beats(hist, model, free=free, fit_offset=args.fit_offset)
 
     payload = {

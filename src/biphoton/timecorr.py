@@ -61,10 +61,17 @@ class FitConvergenceError(RuntimeError):
         self.best = best
 
 
-def _require_finite(params) -> None:
+def _check_fields(params, positive: tuple[str, ...], non_negative: tuple[str, ...]) -> None:
+    """ValueError naming the first field not finite, else the first out of its range."""
     for name, value in vars(params).items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    for name in positive:
+        if getattr(params, name) <= 0:
+            raise ValueError(f"{name} must be positive")
+    for name in non_negative:
+        if getattr(params, name) < 0:
+            raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -82,13 +89,7 @@ class SinglePathParams:
     background: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.g0 <= 0:
-            raise ValueError("g0 must be positive")
-        if self.tau_rise <= 0 or self.tau_decay <= 0:
-            raise ValueError("time constants must be positive")
-        if self.background < 0:
-            raise ValueError("background must be non-negative")
+        _check_fields(self, ("g0", "tau_rise", "tau_decay"), ("background",))
 
 
 @dataclass(frozen=True)
@@ -111,17 +112,7 @@ class BeatModelParams:
     background: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.g0 <= 0:
-            raise ValueError("g0 must be positive")
-        if self.tau_x <= 0 or self.tau_y <= 0:
-            raise ValueError("time constants must be positive")
-        if self.r < 0:
-            raise ValueError("r must be non-negative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.background < 0:
-            raise ValueError("background must be non-negative")
+        _check_fields(self, ("g0", "tau_x", "tau_y", "delta"), ("r", "background"))
 
 
 def _scalarize(dt, out: np.ndarray):
@@ -525,6 +516,17 @@ def fit_single(
 _BEAT_FREE_DEFAULT = ("g0", "background")
 
 
+def _check_free(free: tuple[str, ...]) -> None:
+    """ValueError unless ``free`` names distinct beat-model fields, g0 among them."""
+    for i, name in enumerate(free):
+        if name not in _BEAT_FIELDS:
+            raise ValueError(f"unknown free parameter {name!r}")
+        if name in free[:i]:
+            raise ValueError(f"free parameter {name!r} is named twice")
+    if "g0" not in free:
+        raise ValueError("the amplitude scale g0 must be free")
+
+
 def fit_beats(
     hist: CoincidenceHistogram,
     params: BeatModelParams,
@@ -544,11 +546,7 @@ def fit_beats(
     quadratically), so its reported sigma is for ``g0_squared`` with a
     delta-method ``g0`` entry when the amplitude is nonzero.
     """
-    for name in free:
-        if name not in _BEAT_FIELDS:
-            raise ValueError(f"unknown free parameter {name!r}")
-    if "g0" not in free:
-        raise ValueError("the amplitude scale g0 must be free")
+    _check_free(free)
     periods = (hist.t_stop - max(hist.t_start, 0.0)) * params.delta / (2.0 * math.pi)
     if periods < 3.0:
         raise ValueError(

@@ -276,16 +276,16 @@ _E[np.arange(5, 16, 2), _TRIL[0], _TRIL[1]] = 1j
 # Damped Newton ascent at |x| = 1 (_ascend): each step solves
 # (-H + c x x^T + lambda c I) d = g, c the largest |diagonal entry| of H; the
 # x x^T term pins the radial direction, along which ll is flat.  A system with
-# no Cholesky factor (not positive definite) gives no ascent step and counts
-# as a rejected step, so the ascent cannot settle on a saddle.  Each step
-# evaluates ll, gradient and Hessian once, at the trial point of every problem
-# still active (its current point if it has no ascent step); a problem leaves
-# the stack when it stops.  The damping lambda starts at _DAMPING; it is
-# divided by 10 (down to _DAMPING_MIN) after an accepted step and multiplied
-# by 10 after a rejected one.  A step is accepted when ll does not fall by
-# more than its rounding, _ROUNDING |ll|.  The ascent stops at an accepted
-# step with lambda at most _UNDAMPED that gains less than _GAIN_TOL |ll|, and
-# fails once lambda exceeds _DAMPING_MAX or _MAX_ITERATIONS steps run out.
+# no Cholesky factor gives no ascent step and counts as a rejected step, so the
+# ascent cannot settle on a saddle.  A step evaluates ll, gradient and Hessian
+# once, at the trial point of every active problem (its current point if it
+# has no ascent step), unless none has one; a problem leaves the stack when it
+# stops.  The damping lambda starts at _DAMPING; it is divided by 10 (down to
+# _DAMPING_MIN) after an accepted step and multiplied by 10 after a rejected
+# one.  A step is accepted when ll does not fall by more than its rounding,
+# _ROUNDING |ll|.  The ascent stops at an accepted step with lambda at most
+# _UNDAMPED that gains less than _GAIN_TOL |ll|, and fails once lambda exceeds
+# _DAMPING_MAX or _MAX_ITERATIONS steps run out.
 _DAMPING = 1e-3
 _DAMPING_MIN = 1e-12
 _UNDAMPED = 1e-6
@@ -312,12 +312,12 @@ def _rho_from_params(params: np.ndarray) -> np.ndarray:
     return (mat + 1e-15 * trace * np.eye(4)) / (trace * (1.0 + 4e-15))
 
 
-def _profiled_ll(counts: np.ndarray, total: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _profiled_ll(counts: np.ndarray, seen: np.ndarray, total: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_k n_k ln q_k - N ln s over the last axis of counts and q (..., n), for
-    N = total and s (...); -inf where a setting with counts has q_k = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = np.log(q, out=np.zeros_like(q), where=counts > 0)
-        return np.sum(counts * log_q, axis=-1) - total * np.log(s)
+    seen = counts > 0, N = total and s (...); -inf where a setting with counts
+    has q_k = 0.  Callers ignore numpy's divide and invalid warnings."""
+    log_q = np.log(q, out=np.zeros(q.shape), where=seen)
+    return (counts * log_q).sum(axis=-1) - total * np.log(s)
 
 
 def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,31 +328,28 @@ def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> tuple[np.nda
     return a, np.tensordot(exposures, a, axes=1)
 
 
-def _likelihood(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray):
-    """ll (B,), its gradient (B, 16) and its Hessian (B, 16, 16) at the parameter stack x (B, 16).
+def _likelihood(x, a_rows, a_flat, s_mat, counts, seen, total):
+    """ll (B,), gradient (B, 16) and Hessian (B, 16, 16) at the parameters x (B, 16), for the A_k
+    as rows (n 16, 16) and flat (n, 256), S, counts (B, n), seen = counts > 0 and totals (B,).
 
     Only stacked products, elementwise operations and reductions over a
     problem's own axes are used, so each problem's numbers do not depend on
     the others in the stack.
     """
-    n = a.shape[0]
-    ax = (a.reshape(n * 16, 16) @ x[:, :, None]).reshape(len(x), n, 16)  # rows A_k x
-    q = (ax @ x[:, :, None])[..., 0]
-    sx = (s_mat @ x[:, :, None])[..., 0]
-    s = (sx[:, None, :] @ x[:, :, None])[:, 0, 0]
-    pos = counts > 0
-    total = np.sum(counts, axis=-1)
-    ll = _profiled_ll(counts, total, q, s)
-    w = np.divide(counts, q, out=np.zeros_like(q), where=pos)
-    w_q = np.divide(w, q, out=np.zeros_like(q), where=pos)
+    xc = x[:, :, None]
+    ax = (a_rows @ xc).reshape(len(x), -1, 16)  # rows A_k x
+    q = (ax @ xc)[..., 0]
+    sx = (s_mat @ xc)[..., 0]
+    s = (sx[:, None, :] @ xc)[:, 0, 0]
+    ll = _profiled_ll(counts, seen, total, q, s)
+    w = np.divide(counts, q, out=np.zeros(q.shape), where=seen)
+    w_q = np.divide(w, q, out=np.zeros(q.shape), where=seen)
     ns = (total / s)[:, None]
     grad = 2.0 * (w[:, None, :] @ ax)[:, 0, :] - 2.0 * ns * sx
-    hess = (
-        2.0 * (w[:, None, :] @ a.reshape(n, 256)).reshape(-1, 16, 16)
-        - 4.0 * ((ax * w_q[:, :, None]).swapaxes(1, 2) @ ax)
-        - 2.0 * ns[:, :, None] * s_mat
-        + 4.0 * (ns / s[:, None])[:, :, None] * (sx[:, :, None] * sx[:, None, :])
-    )
+    hess = 2.0 * (w[:, None, :] @ a_flat).reshape(-1, 16, 16)
+    hess -= 4.0 * ((ax * w_q[:, :, None]).swapaxes(1, 2) @ ax)
+    hess -= 2.0 * ns[:, :, None] * s_mat
+    hess += 4.0 * (ns / s[:, None])[:, :, None] * (sx[:, :, None] * sx[:, None, :])
     return ll, grad, hess
 
 
@@ -368,46 +365,59 @@ def _positive_definite(systems: np.ndarray) -> np.ndarray:
     return np.ones(len(systems), dtype=bool)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray):
     """Damped Newton ascent of every problem in the stack.  Returns the final
     parameters, iteration counts, damping, gradient max-norm and a converged
     flag per problem; a problem that stops is written out and leaves the stack."""
-    x = x / np.sqrt(np.sum(x * x, axis=-1))[:, None]
-    ll, grad, hess = _likelihood(x, a, s_mat, counts)
+    forms = a.reshape(-1, 16), a.reshape(len(a), 256), s_mat
+    seen, total = counts > 0, counts.sum(axis=-1)
+    x = x / np.sqrt((x * x).sum(axis=-1))[:, None]
+    ll, grad, hess = _likelihood(x, *forms, counts, seen, total)
     damping = np.full(len(x), _DAMPING)
-    out_x, out_damping, grad_max = x.copy(), damping.copy(), np.max(np.abs(grad), axis=-1)
+    out_x, out_damping, grad_max = x.copy(), damping.copy(), np.abs(grad).max(axis=-1)
     out_iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
     iterations = 0  # every live problem has taken this many steps
     eye = np.eye(16)
     while len(live):
         iterations += 1
-        scale = np.max(np.abs(np.diagonal(hess, axis1=1, axis2=2)), axis=-1)
-        system = (scale[:, None, None] * (x[:, :, None] * x[:, None, :]) - hess
-                  + (damping * scale)[:, None, None] * eye)
-        ascent = _positive_definite(system)
-        step = np.linalg.solve(np.where(ascent[:, None, None], system, eye), grad[:, :, None])
-        trial = x + np.where(ascent[:, None], step[..., 0], 0.0)
-        trial /= np.sqrt(np.sum(trial * trial, axis=-1))[:, None]
-        ll_trial, grad_trial, hess_trial = _likelihood(trial, a, s_mat, counts)
-        accept = ascent & (ll_trial >= ll - _ROUNDING * np.abs(ll))
-        done = accept & (damping <= _UNDAMPED) & (ll_trial - ll <= _GAIN_TOL * np.abs(ll))
+        scale = np.abs(hess.diagonal(0, 1, 2)).max(axis=-1)
+        system = scale[:, None, None] * (x[:, :, None] * x[:, None, :]) - hess
+        system += (damping * scale)[:, None, None] * eye
+        accept = done = _positive_definite(system)  # the problems with an ascent step
+        ascents = np.count_nonzero(accept)  # the cheapest numpy test of a small mask
+        if ascents == len(live):
+            trial = x + np.linalg.solve(system, grad[:, :, None])[..., 0]
+        elif ascents:
+            step = np.linalg.solve(np.where(accept[:, None, None], system, eye), grad[:, :, None])
+            trial = x + np.where(accept[:, None], step[..., 0], 0.0)
+        if ascents:  # without one, every trial would be rejected
+            trial /= np.sqrt((trial * trial).sum(axis=-1))[:, None]
+            ll_trial, grad_trial, hess_trial = _likelihood(trial, *forms, counts, seen, total)
+            tol = np.abs(ll)
+            accept = accept & (ll_trial >= ll - _ROUNDING * tol)
+            done = accept & (damping <= _UNDAMPED) & (ll_trial - ll <= _GAIN_TOL * tol)
+            if np.count_nonzero(accept) == len(live):
+                x, ll, grad, hess = trial, ll_trial, grad_trial, hess_trial
+            else:
+                x = np.where(accept[:, None], trial, x)
+                ll = np.where(accept, ll_trial, ll)
+                grad = np.where(accept[:, None], grad_trial, grad)
+                hess = np.where(accept[:, None, None], hess_trial, hess)
         damping = np.where(accept, np.maximum(damping / 10.0, _DAMPING_MIN), damping * 10.0)
-        x = np.where(accept[:, None], trial, x)
-        ll = np.where(accept, ll_trial, ll)
-        grad = np.where(accept[:, None], grad_trial, grad)
-        hess = np.where(accept[:, None, None], hess_trial, hess)
         stop = done | (iterations >= _MAX_ITERATIONS) | (damping > _DAMPING_MAX)
-        if stop.any():
+        if np.count_nonzero(stop):
             j = live[stop]
-            out_x[j], out_damping[j], grad_max[j] = x[stop], damping[stop], np.max(np.abs(grad[stop]), axis=-1)
+            out_x[j], out_damping[j], grad_max[j] = x[stop], damping[stop], np.abs(grad[stop]).max(axis=-1)
             out_iterations[j], converged[j] = iterations, done[stop]
-            live, x, ll, grad, hess, damping, counts = (
-                v[~stop] for v in (live, x, ll, grad, hess, damping, counts)
+            live, x, ll, grad, hess, damping, counts, seen, total = (
+                v[~stop] for v in (live, x, ll, grad, hess, damping, counts, seen, total)
             )
     return out_x, out_iterations, out_damping, grad_max, converged
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _state_ll(mat: np.ndarray, vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> float:
     """Poisson log-likelihood sum_k n_k ln mu_k - mu_k of the linear-basis state at
     its maximum-likelihood flux N / s, with mu_k = N e_k p_k / s and s = e . p:
@@ -415,7 +425,7 @@ def _state_ll(mat: np.ndarray, vectors: np.ndarray, counts: np.ndarray, exposure
     p = _born(mat, vectors)
     total = counts.sum()
     seen = counts > 0
-    return float(_profiled_ll(counts, total, p, exposures @ p) + counts[seen] @ np.log(total * exposures[seen]) - total)
+    return float(_profiled_ll(counts, seen, total, p, exposures @ p) + counts[seen] @ np.log(total * exposures[seen]) - total)
 
 
 def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
@@ -483,8 +493,8 @@ def reconstruct_mle(records: list[CountsRecord]) -> TomographyResult:
     from the linear-inversion seed by damped Newton steps on the exact
     Hessian.  A Cholesky test of the damped system decides whether a step
     is an ascent step, one linear solve gives it, and the likelihood is
-    evaluated with its derivatives once per step, at the trial point.  The
-    ascent counts as converged at a nearly undamped step that
+    evaluated with its derivatives at the trial point, once per step with
+    an ascent step.  The ascent counts as converged at a nearly undamped step that
     gains less than 1e-13 of the log-likelihood; running out of
     10,000 steps (``iterations`` counts every step tried, accepted or
     not) or of damping raises :class:`ConvergenceError`,

@@ -499,6 +499,33 @@ class TestBadFlagMessages:
         assert all(name in err for name in bp.FIGURE_PRESETS)
         assert not (tmp_path / "h.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit-g2", "--hist", "h.csv", "--preset", "fig3", "--r", "-1"], "--r must be non-negative"),
+        (["fit-g2", "--hist", "h.csv", "--preset", "fig3", "--background", "-2"],
+         "--background must be non-negative"),
+        (["fit-g2", "--hist", "h.csv", "--model", "single", "--tau-decay", "-5"], "--tau-decay must be positive"),
+        (["fit-g2", "--hist", "h.csv", "--model", "beats", "--tau-x", "-5", "--tau-y", "13.1", "--r", "1",
+          "--phi", "0"], "--tau-x must be positive"),
+        (["fit-g2", "--hist", "h.csv", "--model", "beats", "--tau-x", "5.6", "--tau-y", "13.1", "--r", "-1",
+          "--phi", "0"], "--r must be non-negative"),
+        (["simulate-g2", "--preset", "fig2x", "--tau-decay", "-5", "--out", "x.csv"], "--tau-decay must be positive"),
+        (["simulate-g2", "--preset", "fig3", "--g0", "0", "--out", "x.csv"], "--g0 must be positive"),
+        (["simulate-g2", "--preset", "fig3", "--delta", "-1", "--out", "x.csv"], "--delta must be positive"),
+        (["fit-g2", "--hist", "h.csv", "--preset", "fig3", "--free", "g0,g0"],
+         "--free 'g0,g0': free parameter 'g0' is named twice"),
+        (["fit-g2", "--hist", "h.csv", "--preset", "fig3", "--free", "g0,wavelength"],
+         "--free 'g0,wavelength': unknown free parameter 'wavelength'"),
+        (["fit-g2", "--hist", "h.csv", "--preset", "fig3", "--free", "background"],
+         "--free 'background': the amplitude scale g0 must be free"),
+    ], ids=["fit-r", "fit-background", "fit-single-tau", "fit-beats-tau", "fit-beats-r", "simulate-tau",
+            "simulate-g0", "simulate-delta", "free-repeated", "free-unknown", "free-without-g0"])
+    def test_model_value_named_by_flag(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "1", "--out", "h.csv")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_huge_levels_rejected_at_once(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "predict", "--levels", "1e300,1e300,1e300,1e300")

@@ -466,6 +466,19 @@ class TestFitBeats:
         with pytest.raises(ValueError):
             fit_beats(hist, model, free=("g0", "wavelength"))
 
+    def test_repeated_free_parameter_rejected_before_fitting(self, monkeypatch):
+        model = FIGURE_PRESETS["fig3"].model
+        hist = simulate_histogram(model, 0.25, (-5.0, 30.0), seed=2)
+
+        def no_fit(*args):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(timecorr, "_fit", no_fit)
+        with pytest.raises(ValueError, match="'g0' is named twice"):
+            fit_beats(hist, model, free=("g0", "g0"))
+        with pytest.raises(ValueError, match="'background' is named twice"):
+            fit_beats(hist, model, free=("g0", "background", "r", "background"))
+
 
 class TestFitCalibration:
     @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))

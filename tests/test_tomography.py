@@ -1,6 +1,7 @@
 """Tomography: settings, simulation, linear inversion, MLE, and bootstrap."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from biphoton.tomography import (
     SpanError,
     UnphysicalStateError,
     _arrays,
+    _ascend,
     _design,
     _likelihood,
     _linear_estimate,
@@ -292,13 +294,15 @@ class TestReconstructMLE:
         a, s_mat = _quadratic_forms(vectors, exposures)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 16)) * 0.5
-        _, grad, hess = _likelihood(x, a, s_mat, counts[None])
+        stack = counts[None]
+        args = a.reshape(-1, 16), a.reshape(len(a), 256), s_mat, stack, stack > 0, stack.sum(axis=-1)
+        _, grad, hess = _likelihood(x, *args)
         eps = 1e-6
         for i in range(16):
             dx = np.zeros((1, 16))
             dx[0, i] = eps
-            lp, gp, _ = _likelihood(x + dx, a, s_mat, counts[None])
-            lm, gm, _ = _likelihood(x - dx, a, s_mat, counts[None])
+            lp, gp, _ = _likelihood(x + dx, *args)
+            lm, gm, _ = _likelihood(x - dx, *args)
             assert grad[0, i] == pytest.approx((lp[0] - lm[0]) / (2 * eps), rel=1e-5, abs=1e-4)
             fd_row = (gp[0] - gm[0]) / (2 * eps)
             assert np.allclose(hess[0, i], fd_row, rtol=1e-5, atol=1e-6 * np.max(np.abs(hess)))
@@ -400,6 +404,60 @@ class TestReconstructMLE:
             assert result.rho.matrix.tobytes() == single.rho.matrix.tobytes()
             assert result.log_likelihood == single.log_likelihood
             assert result.iterations == single.iterations
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_likelihood_evaluated_only_on_steps_with_an_ascent_step(self, size, monkeypatch):
+        # Once at the start, then once per step on which some live problem has
+        # an ascent step; the third step is made to have none.
+        tm = bp.tomography
+        likelihood, positive_definite = tm._likelihood, tm._positive_definite
+        evaluations, steps, depth = [], [], [0]
+
+        def spy_likelihood(x, *args):
+            evaluations.append(len(x))
+            return likelihood(x, *args)
+
+        def spy_positive_definite(systems):
+            depth[0] += 1
+            try:
+                ascent = positive_definite(systems)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:  # a step of the ascent, not a one-by-one retest
+                if len(steps) == 2:
+                    ascent = np.zeros_like(ascent)
+                steps.append(bool(ascent.any()))
+            return ascent
+
+        monkeypatch.setattr(tm, "_likelihood", spy_likelihood)
+        monkeypatch.setattr(tm, "_positive_definite", spy_positive_definite)
+        rng = np.random.default_rng(5)
+        vectors = _vectors(standard_settings("minimal16"))
+        counts = rng.integers(0, 200, size=(size, len(vectors))).astype(float)
+        counts[:, 0] += 1.0
+        results = _mle(vectors, counts, np.ones(len(vectors)))
+        assert len(steps) == max(result.iterations for result in results)
+        assert not steps[2]
+        assert len(evaluations) == 1 + sum(steps)
+
+    def test_no_runtime_warning_for_zero_counts_or_zero_probabilities(self, rho_x):
+        hh = density_from_ket(BiphotonKet(np.array([1.0, 0.0, 0.0, 0.0]), LINEAR))
+        settings = standard_settings("overcomplete36")
+        forbidden = [CountsRecord(s, 10.0 if s.label in ("HH", "VV") else 0.0) for s in settings]
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in (rho_x, hh):
+                records = simulate_counts(state, settings, 1e3, 5)
+                assert any(rec.counts == 0 for rec in records)
+                reconstruct_mle(records)
+            assert log_likelihood(hh, forbidden) == -np.inf
+            # an ascent started at |HH>, where the counts at VV have probability 0
+            vectors, counts, exposures = _arrays(forbidden)
+            x0 = np.eye(16)[:1]
+            converged = _ascend(x0, *_quadratic_forms(vectors, exposures), counts[None])[-1]
+            assert not converged[0]
+        assert np.geterr() == before
 
     def test_fidelity_improves_with_counts(self, ket_x, rho_x):
         settings = standard_settings("overcomplete36")
