@@ -41,7 +41,7 @@ def read_csv(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
     """(file line number, fields by column name) of every data row.
 
     Blank lines are skipped; the first other line must be exactly ``header``
-    and at least one data row must follow it.
+    and one or more data rows, each with as many fields, must follow it.
     """
     with open(path, newline="") as fh:
         lines = [(n, ln) for n, ln in enumerate(fh, start=1) if not ln.lstrip().startswith("#")]
@@ -53,13 +53,16 @@ def read_csv(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
         raise FileFormatError(header_line, "header", f"expected columns {','.join(header)}")
     if len(rows) == 1:
         raise FileFormatError(header_line + 1, header[0], "no data rows")
+    for n, fields in rows[1:]:
+        if len(fields) != len(header):
+            raise FileFormatError(n, "row", f"{len(fields)} fields where the header has {len(header)}")
     return [(n, dict(zip(header, fields))) for n, fields in rows[1:]]
 
 
 def parse_float(row: dict[str, str], name: str, line: int) -> float:
     """The finite number in field ``name``; anything else is a FileFormatError."""
-    raw = row.get(name)
-    if raw is None or raw == "":
+    raw = row[name]
+    if raw == "":
         raise FileFormatError(line, name, "missing value")
     try:
         value = float(raw)

@@ -259,13 +259,15 @@ def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
 # real on the diagonal (James et al., PRA 64, 052312 (2001)).  Its 16 real
 # parameters x are the diagonal, then the real and imaginary parts of the
 # sub-diagonal entries row by row: T = sum_j x_j E_j.  With the flux profiled
-# out, the log-likelihood is, up to a constant,
+# out, the log-likelihood is, up to a constant, one weighted log-sum
 #
-#     ll(x) = sum_k n_k ln q_k - N ln s,   q_k = x^T A_k x,   s = x^T S x,
+#     ll(x) = sum_k c_k ln q_k,   q_k = x^T A_k x,   c = (n_1, ..., n_n, -N),
 #
-# where A_k = Re(M_k^dagger M_k), column j of M_k is E_j v_k, S = sum_k e_k A_k
-# and N = sum_k n_k (_profiled_ll).  ll is homogeneous of degree 0 in x, and
-# its gradient and Hessian have closed forms (_likelihood).
+# over n + 1 quadratic forms: A_k = Re(M_k^dagger M_k), column j of M_k is
+# E_j v_k, then the flux form A_{n+1} = S = sum_k e_k A_k; N = sum_k n_k
+# (_profiled_ll).  ll is homogeneous of degree 0 in x; with w = c / q its
+# gradient is 2 sum w_k A_k x and its Hessian 2 sum w_k A_k - 4 sum (w_k / q_k)
+# (A_k x)(A_k x)^T (_likelihood).
 
 _TRIL = np.tril_indices(4, -1)
 _E = np.zeros((16, 4, 4), dtype=complex)  # T = sum_j x_j E_j
@@ -274,7 +276,7 @@ _E[np.arange(4, 16, 2), _TRIL[0], _TRIL[1]] = 1.0
 _E[np.arange(5, 16, 2), _TRIL[0], _TRIL[1]] = 1j
 
 # Damped Newton ascent at |x| = 1 (_ascend): each step solves
-# (-H + c x x^T + lambda c I) d = g, c the largest |diagonal entry| of H; the
+# (c (x x^T + lambda I) - H) d = g, c the largest |diagonal entry| of H; the
 # x x^T term pins the radial direction, along which ll is flat.  A system with
 # no Cholesky factor gives no ascent step and counts as a rejected step, so the
 # ascent cannot settle on a saddle.  A step evaluates ll, gradient and Hessian
@@ -297,9 +299,7 @@ _MAX_ITERATIONS = 10_000
 
 def _lower_t_factor(mat: np.ndarray) -> np.ndarray:
     """Lower-triangular T with T^dagger T = mat, for positive definite mats (..., 4, 4)."""
-    rev = np.arange(3, -1, -1)[:, None], np.arange(3, -1, -1)
-    chol = np.linalg.cholesky(mat[..., rev[0], rev[1]])
-    return chol[..., rev[0], rev[1]].conj().swapaxes(-1, -2)
+    return np.linalg.cholesky(mat[..., ::-1, ::-1])[..., ::-1, ::-1].conj().swapaxes(-1, -2)
 
 
 def _rho_from_params(params: np.ndarray) -> np.ndarray:
@@ -312,45 +312,38 @@ def _rho_from_params(params: np.ndarray) -> np.ndarray:
     return (mat + 1e-15 * trace * np.eye(4)) / (trace * (1.0 + 4e-15))
 
 
-def _profiled_ll(counts: np.ndarray, seen: np.ndarray, total: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k n_k ln q_k - N ln s over the last axis of counts and q (..., n), for
-    seen = counts > 0, N = total and s (...); -inf where a setting with counts
-    has q_k = 0.  Callers ignore numpy's divide and invalid warnings."""
-    log_q = np.log(q, out=np.zeros(q.shape), where=seen)
-    return (counts * log_q).sum(axis=-1) - total * np.log(s)
+def _profiled_ll(weights: np.ndarray, seen: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_k c_k ln q_k over the last axis of the weights c and forms q (..., n + 1),
+    for seen = c != 0; -inf where a form with positive weight has q_k = 0.
+    Callers ignore numpy's divide and invalid warnings."""
+    return (weights * np.log(q, out=np.zeros(q.shape), where=seen)).sum(axis=-1)
 
 
-def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_k (n, 16, 16) and S (16, 16) of the analyzer kets (n, 4) and exposures."""
+def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> np.ndarray:
+    """A_k of the analyzer kets (n, 4), then S = sum_k e_k A_k: (n + 1, 16, 16)."""
     m = (_E @ vectors.T).transpose(2, 1, 0)  # (n, 4, 16): column j of M_k is E_j v_k
     a = (m.conj().swapaxes(1, 2) @ m).real
     a = 0.5 * (a + a.swapaxes(1, 2))
-    return a, np.tensordot(exposures, a, axes=1)
+    return np.concatenate([a, np.tensordot(exposures, a, axes=1)[None]])
 
 
-def _likelihood(x, a_rows, a_flat, s_mat, counts, seen, total):
-    """ll (B,), gradient (B, 16) and Hessian (B, 16, 16) at the parameters x (B, 16), for the A_k
-    as rows (n 16, 16) and flat (n, 256), S, counts (B, n), seen = counts > 0 and totals (B,).
+def _likelihood(x, rows, flat, weights, seen):
+    """ll (B,), gradient (B, 16) and Hessian (B, 16, 16) at the parameters x (B, 16), for the
+    forms as rows ((n + 1) 16, 16) and flat (n + 1, 256), weights c (B, n + 1) and seen = c != 0.
 
     Only stacked products, elementwise operations and reductions over a
     problem's own axes are used, so each problem's numbers do not depend on
     the others in the stack.
     """
     xc = x[:, :, None]
-    ax = (a_rows @ xc).reshape(len(x), -1, 16)  # rows A_k x
+    ax = (rows @ xc).reshape(len(x), -1, 16)  # rows A_k x
     q = (ax @ xc)[..., 0]
-    sx = (s_mat @ xc)[..., 0]
-    s = (sx[:, None, :] @ xc)[:, 0, 0]
-    ll = _profiled_ll(counts, seen, total, q, s)
-    w = np.divide(counts, q, out=np.zeros(q.shape), where=seen)
+    w = np.divide(weights, q, out=np.zeros(q.shape), where=seen)
     w_q = np.divide(w, q, out=np.zeros(q.shape), where=seen)
-    ns = (total / s)[:, None]
-    grad = 2.0 * (w[:, None, :] @ ax)[:, 0, :] - 2.0 * ns * sx
-    hess = 2.0 * (w[:, None, :] @ a_flat).reshape(-1, 16, 16)
+    grad = 2.0 * (w[:, None, :] @ ax)[:, 0, :]
+    hess = 2.0 * (w[:, None, :] @ flat).reshape(-1, 16, 16)
     hess -= 4.0 * ((ax * w_q[:, :, None]).swapaxes(1, 2) @ ax)
-    hess -= 2.0 * ns[:, :, None] * s_mat
-    hess += 4.0 * (ns / s[:, None])[:, :, None] * (sx[:, :, None] * sx[:, None, :])
-    return ll, grad, hess
+    return _profiled_ll(weights, seen, q), grad, hess
 
 
 def _positive_definite(systems: np.ndarray) -> np.ndarray:
@@ -366,14 +359,15 @@ def _positive_definite(systems: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray):
+def _ascend(x: np.ndarray, forms: np.ndarray, counts: np.ndarray):
     """Damped Newton ascent of every problem in the stack.  Returns the final
     parameters, iteration counts, damping, gradient max-norm and a converged
     flag per problem; a problem that stops is written out and leaves the stack."""
-    forms = a.reshape(-1, 16), a.reshape(len(a), 256), s_mat
-    seen, total = counts > 0, counts.sum(axis=-1)
+    forms = forms.reshape(-1, 16), forms.reshape(len(forms), 256)
+    weights = np.concatenate([counts, -counts.sum(axis=-1, keepdims=True)], axis=-1)
+    seen = weights != 0
     x = x / np.sqrt((x * x).sum(axis=-1))[:, None]
-    ll, grad, hess = _likelihood(x, *forms, counts, seen, total)
+    ll, grad, hess = _likelihood(x, *forms, weights, seen)
     damping = np.full(len(x), _DAMPING)
     out_x, out_damping, grad_max = x.copy(), damping.copy(), np.abs(grad).max(axis=-1)
     out_iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
@@ -383,8 +377,7 @@ def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray)
     while len(live):
         iterations += 1
         scale = np.abs(hess.diagonal(0, 1, 2)).max(axis=-1)
-        system = scale[:, None, None] * (x[:, :, None] * x[:, None, :]) - hess
-        system += (damping * scale)[:, None, None] * eye
+        system = scale[:, None, None] * (x[:, :, None] * x[:, None, :] + damping[:, None, None] * eye) - hess
         accept = done = _positive_definite(system)  # the problems with an ascent step
         ascents = np.count_nonzero(accept)  # the cheapest numpy test of a small mask
         if ascents == len(live):
@@ -394,7 +387,7 @@ def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray)
             trial = x + np.where(accept[:, None], step[..., 0], 0.0)
         if ascents:  # without one, every trial would be rejected
             trial /= np.sqrt((trial * trial).sum(axis=-1))[:, None]
-            ll_trial, grad_trial, hess_trial = _likelihood(trial, *forms, counts, seen, total)
+            ll_trial, grad_trial, hess_trial = _likelihood(trial, *forms, weights, seen)
             tol = np.abs(ll)
             accept = accept & (ll_trial >= ll - _ROUNDING * tol)
             done = accept & (damping <= _UNDAMPED) & (ll_trial - ll <= _GAIN_TOL * tol)
@@ -411,8 +404,8 @@ def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray)
             j = live[stop]
             out_x[j], out_damping[j], grad_max[j] = x[stop], damping[stop], np.abs(grad[stop]).max(axis=-1)
             out_iterations[j], converged[j] = iterations, done[stop]
-            live, x, ll, grad, hess, damping, counts, seen, total = (
-                v[~stop] for v in (live, x, ll, grad, hess, damping, counts, seen, total)
+            live, x, ll, grad, hess, damping, weights, seen = (
+                v[~stop] for v in (live, x, ll, grad, hess, damping, weights, seen)
             )
     return out_x, out_iterations, out_damping, grad_max, converged
 
@@ -421,11 +414,12 @@ def _ascend(x: np.ndarray, a: np.ndarray, s_mat: np.ndarray, counts: np.ndarray)
 def _state_ll(mat: np.ndarray, vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> float:
     """Poisson log-likelihood sum_k n_k ln mu_k - mu_k of the linear-basis state at
     its maximum-likelihood flux N / s, with mu_k = N e_k p_k / s and s = e . p:
-    _profiled_ll at the Born probabilities p plus sum_k n_k ln(N e_k) - N."""
+    _profiled_ll at the Born probabilities p and s plus sum_k n_k ln(N e_k) - N."""
     p = _born(mat, vectors)
     total = counts.sum()
-    seen = counts > 0
-    return float(_profiled_ll(counts, seen, total, p, exposures @ p) + counts[seen] @ np.log(total * exposures[seen]) - total)
+    weights, seen = np.append(counts, -total), counts > 0
+    ll = _profiled_ll(weights, weights != 0, np.append(p, exposures @ p))
+    return float(ll + counts[seen] @ np.log(total * exposures[seen]) - total)
 
 
 def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
@@ -455,7 +449,7 @@ def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray):
     x0 = _mle_seed(_design(vectors), counts / exposures)
     if np.any(np.sum(counts, axis=1) <= 0):
         raise DegenerateCountsError("all settings recorded zero counts")
-    x, iterations, damping, grad_max, converged = _ascend(x0, *_quadratic_forms(vectors, exposures), counts)
+    x, iterations, damping, grad_max, converged = _ascend(x0, _quadratic_forms(vectors, exposures), counts)
     mats = _rho_from_params(x)
     failed = np.flatnonzero(~converged)
     if len(failed):

@@ -537,6 +537,15 @@ class TestHistogramCsv:
         assert err.value.line == 3
         assert err.value.fieldname == field
 
+    @pytest.mark.parametrize("row", ["-4.75,3,999", "-4.75"])
+    def test_row_with_wrong_field_count_names_line(self, tmp_path, row):
+        path = tmp_path / "hist.csv"
+        path.write_text(f"# seed: 4\nbin_start_ns,counts\n-5.0,2\n{row}\n-4.5,7\n")
+        with pytest.raises(FileFormatError, match="fields where the header has 2") as err:
+            read_histogram_csv(path)
+        assert err.value.line == 4
+        assert err.value.fieldname == "row"
+
     def test_error_line_counts_comment_lines(self, tmp_path):
         hist = simulate_histogram(FIGURE_PRESETS["fig2x"].model, 1.0, (-25.0, 50.0), seed=4)
         path = tmp_path / "hist.csv"

@@ -291,11 +291,11 @@ class TestReconstructMLE:
     def test_gradient_and_hessian_match_finite_differences(self, rho_x):
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e4, 13)
         vectors, counts, exposures = _arrays(records)
-        a, s_mat = _quadratic_forms(vectors, exposures)
+        forms = _quadratic_forms(vectors, exposures)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 16)) * 0.5
-        stack = counts[None]
-        args = a.reshape(-1, 16), a.reshape(len(a), 256), s_mat, stack, stack > 0, stack.sum(axis=-1)
+        weights = np.append(counts, -counts.sum())[None]
+        args = forms.reshape(-1, 16), forms.reshape(len(forms), 256), weights, weights != 0
         _, grad, hess = _likelihood(x, *args)
         eps = 1e-6
         for i in range(16):
@@ -306,6 +306,25 @@ class TestReconstructMLE:
             assert grad[0, i] == pytest.approx((lp[0] - lm[0]) / (2 * eps), rel=1e-5, abs=1e-4)
             fd_row = (gp[0] - gm[0]) / (2 * eps)
             assert np.allclose(hess[0, i], fd_row, rtol=1e-5, atol=1e-6 * np.max(np.abs(hess)))
+
+    def test_likelihood_is_counts_log_q_minus_total_log_s(self, rho_x):
+        # The ascent's ll is one weighted log-sum over the n + 1 forms; check it
+        # against sum_k n_k ln q_k - N ln s, with zero counts and unequal exposures.
+        records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e3, 8)
+        vectors, counts, _ = _arrays(records)
+        counts[[0, 5, 17]] = 0.0
+        exposures = np.random.default_rng(1).uniform(0.5, 2.0, len(vectors))
+        forms = _quadratic_forms(vectors, exposures)
+        a, s_mat = forms[:-1], forms[-1]
+        assert np.allclose(s_mat, np.tensordot(exposures, a, axes=1), rtol=1e-15, atol=0.0)
+        x = np.random.default_rng(2).normal(size=(3, 16))
+        weights = np.tile(np.append(counts, -counts.sum()), (3, 1))
+        ll = _likelihood(x, forms.reshape(-1, 16), forms.reshape(len(forms), 256), weights, weights != 0)[0]
+        seen = counts > 0
+        for b in range(3):
+            q = np.einsum("i,kij,j->k", x[b], a, x[b])
+            expected = counts[seen] @ np.log(q[seen]) - counts.sum() * np.log(x[b] @ s_mat @ x[b])
+            assert ll[b] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_equivariance_under_local_unitaries(self, ket_x):
         rng = np.random.default_rng(77)
@@ -455,7 +474,7 @@ class TestReconstructMLE:
             # an ascent started at |HH>, where the counts at VV have probability 0
             vectors, counts, exposures = _arrays(forbidden)
             x0 = np.eye(16)[:1]
-            converged = _ascend(x0, *_quadratic_forms(vectors, exposures), counts[None])[-1]
+            converged = _ascend(x0, _quadratic_forms(vectors, exposures), counts[None])[-1]
             assert not converged[0]
         assert np.geterr() == before
 
@@ -602,6 +621,21 @@ class TestCountsCsv:
             read_counts_csv(path)
         assert err.value.line == 6
         assert err.value.fieldname == "exposure"
+
+    @pytest.mark.parametrize("edit", [lambda parts: parts[:-1] + ["234", parts[-1]], lambda parts: parts[:-1]],
+                             ids=["extra", "short"])
+    def test_row_with_wrong_field_count_names_line(self, rho_x, tmp_path, edit):
+        # a count written with a thousands separator, "1,234", adds a field
+        records = simulate_counts(rho_x, standard_settings("minimal16"), 1e3, 31)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(records, path)
+        lines = path.read_text().splitlines()
+        lines[5] = ",".join(edit(lines[5].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="fields where the header has 11") as err:
+            read_counts_csv(path)
+        assert err.value.line == 6
+        assert err.value.fieldname == "row"
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
