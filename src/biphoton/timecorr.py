@@ -167,6 +167,9 @@ class CoincidenceHistogram:
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=float).reshape(-1)
         object.__setattr__(self, "counts", counts)
+        for name, value in (("bin_width", self.bin_width), ("t_start", self.t_start), ("counts", counts)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
         if counts.size < 2:
@@ -195,52 +198,62 @@ def _single_means(edges, width, values, names=()):
     """Exact bin means of the single-path model, ``values`` = (g0, tau_rise,
     tau_decay, background), between ``edges``; with ``names`` also the Jacobian
     by those names and ``offset`` (the model shifted to later delays)."""
-    g0, tau_rise, tau_decay, background = values
+    g0, tau_rise, tau_decay, background = values.tolist()
     before, after = np.minimum(edges, 0.0), np.maximum(edges, 0.0)
     rise, fall = np.exp(before / tau_rise), np.exp(-after / tau_decay)
-    shape = (tau_rise * np.diff(rise) - tau_decay * np.diff(fall)) / width
+    shape = (tau_rise * _diff(rise) - tau_decay * _diff(fall)) / width
     mu = g0 * shape + background
-    if not names:
-        return mu
     scale = g0 / width
-    columns = {
-        "g0": shape,
-        "tau_rise": scale * np.diff(rise * (1.0 - before / tau_rise)),
-        "tau_decay": -scale * np.diff(fall * (1.0 + after / tau_decay)),
-        "background": np.ones_like(mu),
-        "offset": -scale * np.diff(rise * fall),
-    }
-    return mu, np.column_stack([columns[name] for name in names])
+    return _with_jacobian(mu, names, {
+        "g0": lambda: shape,
+        "tau_rise": lambda: scale * _diff(rise * (1.0 - before / tau_rise)),
+        "tau_decay": lambda: -scale * _diff(fall * (1.0 + after / tau_decay)),
+        "background": lambda: 1.0,
+        "offset": lambda: -scale * _diff(rise * fall),
+    })
 
 
 def _beats_means(edges, width, values, names=()):
     """As _single_means for the two-path model, ``values`` = _BEAT_FIELDS with g0^2
     for g0 (and column ``g0`` by g0^2).  The cross term integrates as
     Re[e^{i phi} int e^{-k t} dt] with k = 1/(2 tau_x) + 1/(2 tau_y) - i delta."""
-    g0_squared, tau_x, tau_y, r, phi, delta, background = values
+    g0_squared, tau_x, tau_y, r, phi, delta, background = values.tolist()
     t = np.maximum(edges, 0.0)
     k = 0.5 / tau_x + 0.5 / tau_y - 1j * delta
     ex, ey, ek = np.exp(-t / tau_x), np.exp(-t / tau_y), np.exp(-k * t)
     turn = cmath.exp(1j * phi)
-    cross = turn * np.diff(ek) / -k
-    shape = (-tau_x * np.diff(ex) - r * r * tau_y * np.diff(ey) + 2.0 * r * cross.real) / width
+    cross = turn * _diff(ek) / -k
+    dy = _diff(ey)
+    shape = (-tau_x * _diff(ex) - r * r * tau_y * dy + 2.0 * r * cross.real) / width
     mu = g0_squared * shape + background
-    if not names:
-        return mu
     scale = g0_squared / width
-    moment = turn * np.diff((k * t + 1.0) * ek) / -(k * k)  # e^{i phi} int t e^{-k t} dt
-    columns = {
+    if not {"delta", "tau_x", "tau_y"}.isdisjoint(names):
+        moment = turn * _diff((k * t + 1.0) * ek) / -(k * k)  # e^{i phi} int t e^{-k t} dt
+    return _with_jacobian(mu, names, {
         "g0": lambda: shape,
-        "background": lambda: np.ones_like(mu),
-        "r": lambda: 2.0 * scale * (cross.real - r * tau_y * np.diff(ey)),
+        "background": lambda: 1.0,
+        "r": lambda: 2.0 * scale * (cross.real - r * tau_y * dy),
         "phi": lambda: -2.0 * r * scale * cross.imag,
         "delta": lambda: -2.0 * r * scale * moment.imag,
-        "tau_x": lambda: scale * (r * moment.real / tau_x**2 - np.diff((t / tau_x + 1.0) * ex)),
-        "tau_y": lambda: scale * r * (moment.real / tau_y**2 - r * np.diff((t / tau_y + 1.0) * ey)),
-        "offset": lambda: -scale * np.diff(
+        "tau_x": lambda: scale * (r * moment.real / tau_x**2 - _diff((t / tau_x + 1.0) * ex)),
+        "tau_y": lambda: scale * r * (moment.real / tau_y**2 - r * _diff((t / tau_y + 1.0) * ey)),
+        "offset": lambda: -scale * _diff(
             np.where(edges >= 0.0, ex + r * r * ey + 2.0 * r * (turn * ek).real, 0.0)),
-    }
-    return mu, np.column_stack([columns[name]() for name in names])
+    })
+
+
+def _diff(a: np.ndarray) -> np.ndarray:
+    return a[1:] - a[:-1]  # np.diff(a) to the bit, without its per-call overhead
+
+
+def _with_jacobian(mu: np.ndarray, names, columns: dict):
+    """``mu``, and with ``names`` also the Jacobian: those columns in order, each by its thunk."""
+    if not names:
+        return mu
+    jac = np.empty((mu.size, len(names)))
+    for i, name in enumerate(names):
+        jac[:, i] = columns[name]()
+    return mu, jac
 
 
 _BEAT_FIELDS = ("g0", "tau_x", "tau_y", "r", "phi", "delta", "background")
@@ -365,40 +378,46 @@ def _scaled_svd(weighted: np.ndarray):
 def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     """Maximize sum(n ln mu - mu) over x >= lower by damped Fisher scoring.
 
-    ``means(x)`` gives the bin means and their Jacobian.  One SVD of the
-    Jacobi-scaled J/sqrt(mu) per accepted point serves every Levenberg
-    damping tried there; bins with mean 0 have weight 0, and a parameter at
-    its bound with the gradient pointing out is held.  Returns x, its means
-    and weighted Jacobian, the steps tried, and None or why it stopped.
+    ``means(x)`` gives the bin means and their Jacobian.  A step costs one
+    evaluation, and one SVD of the Jacobi-scaled J/sqrt(mu) per accepted
+    point serves every Levenberg damping tried there.  Bins with mean 0 have
+    weight 0; a parameter at its bound with the gradient pointing out is held.
+    Returns x, its Poisson deviance, the scaled SVD of its weighted Jacobian
+    (all columns), the steps tried, and None or why it stopped.
     """
     x = np.maximum(np.asarray(x0, dtype=float), lower)
     mu, jac = means(x)
     seen = counts > 0.0
-    if np.any(mu[seen] <= 0.0):
+    counts_seen, mu_seen = counts[seen], mu[seen]
+    if np.any(mu_seen <= 0.0):
         raise ValueError("the starting model has a zero mean in a bin with counts")
     damping, accepted = 1e-3, True
     for steps in range(_MAX_STEPS + 1):
         if accepted:
             inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > _TINY)
-            weighted = jac * np.sqrt(inv)[:, None]
+            weighted = np.multiply(jac, np.sqrt(inv)[:, None], order="F")  # column norms alike in any subset
             grad = jac.T @ (counts * inv - 1.0)
             free = (x > lower) | (grad > 0.0)
+            free = slice(None) if free.all() else free  # a view, not a copy
             norms, s, vt = _scaled_svd(weighted[:, free])
             c = vt @ (grad[free] / norms) / s
-            if 0.5 * (c @ c) <= _GAIN_TOL:
-                return x, mu, weighted, steps, None
-        if steps == _MAX_STEPS or damping > 1e16:
-            return x, mu, weighted, steps, f"stopped after {steps} steps at damping {damping:.3g}"
+            converged = 0.5 * (c @ c) <= _GAIN_TOL
+        if converged or steps == _MAX_STEPS or damping > 1e16:
+            break
         trial = x.copy()
         trial[free] += vt.T @ (c * s / (s * s + damping)) / norms
         np.maximum(trial, lower, out=trial)
         mu_trial, jac_trial = means(trial)
+        mu_trial_seen = mu_trial[seen]
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = counts[seen] @ np.log(mu_trial[seen] / mu[seen]) - np.sum(mu_trial - mu)
+            gain = counts_seen @ np.log(mu_trial_seen / mu_seen) - (mu_trial - mu).sum()
         accepted = gain > 0.0
         if accepted:
-            x, mu, jac = trial, mu_trial, jac_trial
+            x, mu, jac, mu_seen = trial, mu_trial, jac_trial, mu_trial_seen
         damping *= 0.1 if accepted else 10.0
+    deviance = 2.0 * float(np.sum(mu - counts) + counts_seen @ np.log(counts_seen / mu_seen))
+    stop = None if converged else f"stopped after {steps} steps at damping {damping:.3g}"
+    return x, deviance, (norms, s, vt) if isinstance(free, slice) else _scaled_svd(weighted), steps, stop
 
 
 def _lower_decile(values: np.ndarray) -> float:
@@ -459,27 +478,23 @@ def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult
         values[-1] = max(values[-1], 1e-6)
     index = [fields.index(name) for name in free]
     names = list(free) + (["offset"] if fit_offset else [])
+    grid = hist.bin_width * np.arange(hist.n_bins + 1)
+    edges = hist.t_start + grid
 
     def evaluate(x):
         v = values.copy()
         v[index] = x[:len(index)]
-        offset = x[-1] if fit_offset else 0.0
-        edges = hist.t_start - offset + hist.bin_width * np.arange(hist.n_bins + 1)
-        return means(edges, hist.bin_width, v, names)
+        return means(hist.t_start - x[-1] + grid if fit_offset else edges, hist.bin_width, v, names)
 
     x0 = list(values[index]) + ([0.0] if fit_offset else [])
     lower = np.array([_LOWER[name] for name in names])
-    x, mu, weighted, steps, stop = _maximize(hist.counts, x0, lower, evaluate)
-    norms, s, vt = _scaled_svd(weighted)
+    x, chi2, (norms, s, vt), steps, stop = _maximize(hist.counts, x0, lower, evaluate)
     sigmas = dict(zip(names, (np.sqrt(np.diag((vt.T / s**2) @ vt)) / norms).tolist()))
     fitted = dict(zip(free, x.tolist()))
     if isinstance(model, BeatModelParams):  # the fit ran on g0^2
         fitted["g0"] = g0 = math.sqrt(max(fitted["g0"], 1e-30))
         sigmas["g0_squared"] = sigmas["g0"]
         sigmas["g0"] = sigmas["g0"] / (2.0 * g0) if g0 > 1e-12 else math.inf
-    n = hist.counts
-    seen = n > 0.0
-    chi2 = 2.0 * float(np.sum(mu - n) + n[seen] @ np.log(n[seen] / mu[seen]))
     n_dof = hist.n_bins - len(names)
     result = FitResult(
         params=replace(model, **fitted),

@@ -1,5 +1,6 @@
 """Time-correlation models, synthetic histograms, jitter convolution, fits."""
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from biphoton.timecorr import (
     SinglePathParams,
     _bin_means,
     _model_values,
+    _scaled_svd,
     beat_contrast,
     convolve_jitter,
     estimate_single_init,
@@ -156,6 +158,20 @@ class TestAmplitudeOracle:
         assert g2_beats(0.0, p) == pytest.approx(0.7, abs=1e-12)
 
 
+class TestCoincidenceHistogram:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["bin_width", "t_start", "counts"])
+    def test_non_finite_value_names_field(self, field, value):
+        # the sign check alone lets NaN through: np.any(counts < 0) is False for it
+        kwargs = {"bin_width": 0.25, "t_start": -5.0, "counts": np.full(140, 10.0)}
+        if field == "counts":
+            kwargs["counts"][70] = value
+        else:
+            kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            CoincidenceHistogram(**kwargs)
+
+
 class TestSimulateHistogram:
     def test_vanishing_amplitude_gives_empty_histogram(self):
         model = SinglePathParams(g0=1e-12, tau_rise=3.0, tau_decay=5.0)
@@ -219,6 +235,49 @@ class TestBinMeans:
                 plus, minus = means(edges, 0.37, values + step), means(edges, 0.37, values - step)
             numeric = (plus - minus) / (2.0 * h)
             assert np.allclose(jac[:, j], numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()), name
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_bits_match_reference_arithmetic(self, name):
+        # The bin means are the Poisson means of simulate-g2, so a moved bit can
+        # move a draw.  The reference fixes the order of every rounding; it is
+        # compared instead of a digest because numpy's float64 exp itself
+        # differs in the last bit between CPUs (AVX-512 against libm).
+        preset = FIGURE_PRESETS[name]
+        m, width, t_start = preset.model, preset.bin_width, preset.t_range[0]
+        n_bins = int(round((preset.t_range[1] - t_start) / width))
+        edges = t_start + width * np.arange(n_bins + 1)
+        if isinstance(m, SinglePathParams):
+            rise = np.exp(np.minimum(edges, 0.0) / m.tau_rise)
+            fall = np.exp(-np.maximum(edges, 0.0) / m.tau_decay)
+            reference = m.g0 * ((m.tau_rise * np.diff(rise) - m.tau_decay * np.diff(fall)) / width) + m.background
+        else:
+            t = np.maximum(edges, 0.0)
+            k = 0.5 / m.tau_x + 0.5 / m.tau_y - 1j * m.delta
+            cross = cmath.exp(1j * m.phi) * np.diff(np.exp(-k * t)) / -k
+            shape = (-m.tau_x * np.diff(np.exp(-t / m.tau_x))
+                     - m.r * m.r * m.tau_y * np.diff(np.exp(-t / m.tau_y)) + 2.0 * m.r * cross.real) / width
+            reference = (m.g0 * m.g0) * shape + m.background
+        assert np.array_equal(_bin_means(m, t_start, n_bins, width), reference)
+
+    @pytest.mark.parametrize("offset", [False, True])
+    @pytest.mark.parametrize("model", [
+        SinglePathParams(g0=1500.0, tau_rise=3.1, tau_decay=5.6, background=8.0),
+        BeatModelParams(g0=20.0, tau_x=5.6, tau_y=13.1, r=0.8, phi=0.7, background=5.0),
+    ])
+    def test_jacobian_of_any_names_is_columns_of_the_full_one(self, model, offset):
+        means, fields, values = _model_values(model)
+        names = list(fields) + (["offset"] if offset else [])
+        edges = -5.0 + 0.37 * np.arange(81)
+        mu, full = means(edges, 0.37, values, names)
+        rng = np.random.default_rng(4)
+        subsets = [(name,) for name in names] + [("background", "g0")]
+        subsets += [tuple(rng.permutation(names)[:size]) for size in range(2, len(names) + 1)]
+        if offset:
+            subsets.append(("offset", fields[2], "g0"))  # tau_decay or tau_y
+        for subset in subsets:
+            sub_mu, jac = means(edges, 0.37, values, subset)
+            assert np.array_equal(sub_mu, mu)
+            assert np.array_equal(jac, full[:, [names.index(name) for name in subset]]), subset
 
 
 class TestConvolveJitter:
@@ -478,6 +537,51 @@ class TestFitBeats:
             fit_beats(hist, model, free=("g0", "g0"))
         with pytest.raises(ValueError, match="'background' is named twice"):
             fit_beats(hist, model, free=("g0", "background", "r", "background"))
+
+
+class TestFitCovariance:
+    """The sigmas are those of the Fisher matrix at the returned point, whether
+    its SVD is the one the last step made or one of all columns at the end."""
+
+    @staticmethod
+    def assert_sigmas_at_returned_point(hist, fit, free):
+        means, fields, values = _model_values(fit.params)
+        edges = hist.t_start + hist.bin_width * np.arange(hist.n_bins + 1)
+        mu, jac = means(edges, hist.bin_width, values, free)
+        inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > np.finfo(float).tiny)
+        norms, s, vt = _scaled_svd(jac * np.sqrt(inv)[:, None])
+        expected = np.sqrt(np.diag((vt.T / s**2) @ vt)) / norms
+        key = "g0_squared" if isinstance(fit.params, BeatModelParams) else "g0"
+        got = [fit.sigmas[key if name == "g0" else name] for name in free]
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_all_free_beats_fit(self):
+        preset = FIGURE_PRESETS["fig3"]
+        free = ("g0", "background", "r", "phi", "delta")
+        for seed in range(3):
+            hist = simulate_histogram(preset.model, preset.bin_width, preset.t_range, seed)
+            self.assert_sigmas_at_returned_point(hist, fit_beats(hist, preset.model, free=free), free)
+
+    def test_single_fit(self):
+        preset = FIGURE_PRESETS["fig2x"]
+        for seed in range(3):
+            hist = simulate_histogram(preset.model, preset.bin_width, preset.t_range, seed)
+            fit = fit_single(hist, estimate_single_init(hist))
+            self.assert_sigmas_at_returned_point(hist, fit, timecorr._SINGLE_FIELDS)
+
+    def test_background_held_at_zero(self):
+        # the zero-background cases of TestFitSingle and TestFitBeats
+        single = SinglePathParams(g0=1000.0, tau_rise=3.1, tau_decay=5.6)
+        hist = simulate_histogram(single, 1.0, (-20.0, 40.0), seed=2)
+        fit = fit_single(hist, estimate_single_init(hist))
+        assert fit.params.background == 0.0
+        self.assert_sigmas_at_returned_point(hist, fit, timecorr._SINGLE_FIELDS)
+        preset = FIGURE_PRESETS["fig3"]
+        beats = replace(preset.model, background=0.0)
+        hist = simulate_histogram(beats, preset.bin_width, preset.t_range, seed=1)
+        fit = fit_beats(hist, beats)
+        assert fit.params.background == 0.0
+        self.assert_sigmas_at_returned_point(hist, fit, ("g0", "background"))
 
 
 class TestFitCalibration:
