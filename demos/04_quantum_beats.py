@@ -48,19 +48,16 @@ fit_delta = tc.fit_beats(hist, model, free=("g0", "background", "delta"))
 print(f"measured beat period = {2 * math.pi / fit_delta.params.delta:.3f} ns")
 
 # The three published polarization regimes: damped beats, and two
-# high-contrast settings in antiphase.
+# high-contrast settings in antiphase.  The zero-delay modulation depth of
+# the interference term is 2R / (1 + R^2).
 print("\nzero-delay modulation depth of each regime:")
 for name in ("fig4a", "fig4b", "fig4c"):
     m = tc.FIGURE_PRESETS[name].model
     print(f"  {name}: R = {m.r:6.3f}, phi = {m.phi:.2f}, "
-          f"contrast = {tc.beat_contrast(m):.3f}")
+          f"contrast = {2 * m.r / (1 + m.r**2):.3f}")
 
-# Detector jitter washes the beats out: a 1 ns jitter at 266 MHz keeps
-# only a quarter of the modulation.
-f = lambda t: tc.g2_beats(t, model)
+# Gaussian detector jitter of width sigma scales the beat modulation by
+# exp(-delta^2 sigma^2 / 2): a 1 ns jitter at 266 MHz keeps only a quarter.
 for sigma in (0.04, 1.0):
     attenuation = math.exp(-model.delta**2 * sigma**2 / 2)
     print(f"jitter {sigma:4.2f} ns: expected contrast attenuation {attenuation:.3f}")
-    convolved = tc.convolve_jitter(f, sigma)
-    print(f"  g2 at the first beat minimum: {f(period/2):6.1f} -> "
-          f"{convolved(period/2):6.1f}")

@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "timecorr": (
         "DEFAULT_DELTA", "FIGURE_PRESETS", "BeatModelParams", "CoincidenceHistogram",
-        "SinglePathParams", "beat_contrast", "convolve_jitter", "fit_beats", "fit_single",
-        "g2_beats", "g2_single", "simulate_histogram",
+        "SinglePathParams", "fit_beats", "fit_single", "g2_beats", "g2_single",
+        "simulate_histogram",
     ),
     "tomography": (
         "CountsRecord", "MeasurementSetting", "TomographyResult", "reconstruct_linear",

@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
-Subcommands: predict, simulate-tomo, reconstruct, resample, simulate-g2,
-fit-g2, beat-params.  Every command is deterministic for a fixed --seed
+Subcommands: predict, simulate-tomo, reconstruct, simulate-g2, fit-g2,
+beat-params.  Every command is deterministic for a fixed --seed
 (default from the BIPHOTON_SEED environment variable, else 12345), and every
 output artifact embeds the tool version, the command line, the seed, and a
 SHA-256 digest of each input file.
@@ -198,31 +198,15 @@ def _subtract_background(records, level: float):
     ]
 
 
-def _counts_and_target(args):
-    """Seed, counts records, fidelity target (or None) and meta block of reconstruct and resample."""
-    from . import tomography
+def _cmd_reconstruct(args) -> int:
+    from . import entanglement, polstate, tomography
 
     seed = _resolve_seed(args)
     records = tomography.read_counts_csv(args.counts)
     target, target_inputs = _resolve_ket(args.target, args.target_path, None)
-    return seed, records, target, _meta(args, seed, [args.counts] + target_inputs)
-
-
-def _resampled_metrics(args, records, seed: int, target) -> dict:
-    """Bootstrap mean and standard deviation of each indicator over --resamples resamples."""
-    from . import tomography
-
-    stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
-    return {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()}
-
-
-def _cmd_reconstruct(args) -> int:
-    from . import entanglement, polstate, tomography
-
-    seed, records, target, meta = _counts_and_target(args)
     records = _subtract_background(records, args.subtract_background)
 
-    payload: dict = {"meta": meta, "method": args.method}
+    payload: dict = {"meta": _meta(args, seed, [args.counts] + target_inputs), "method": args.method}
     if args.method == "linear":
         rho = tomography.reconstruct_linear(records)
     else:
@@ -234,7 +218,8 @@ def _cmd_reconstruct(args) -> int:
     metrics = entanglement.indicators(rho, target)
 
     if args.resamples:
-        payload["resampled_metrics"] = _resampled_metrics(args, records, seed, target)
+        stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
+        payload["resampled_metrics"] = {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()}
 
     payload.update(
         {
@@ -245,13 +230,6 @@ def _cmd_reconstruct(args) -> int:
         }
     )
     _emit_json(payload, args.out)
-    return 0
-
-
-def _cmd_resample(args) -> int:
-    seed, records, target, meta = _counts_and_target(args)
-    metrics = _resampled_metrics(args, records, seed, target)
-    _emit_json({"meta": meta, "n_resamples": args.resamples, "metrics": metrics}, args.out)
     return 0
 
 
@@ -361,20 +339,6 @@ def _cmd_fit_g2(args) -> int:
 def _cmd_beat_params(args) -> int:
     from . import polstate
 
-    if args.r is not None or args.phi is not None:
-        if args.r is None or args.phi is None:
-            raise ValueError("--r and --phi must be given together")
-        if args.r < 0:
-            raise ValueError("--r must be non-negative")
-        payload = {
-            "meta": _meta(args, None, []),
-            "source": "user",
-            "r": args.r,
-            "phi": polstate._wrap_phase(args.phi),
-        }
-        _emit_json(payload, args.out)
-        return 0
-
     ket_x, inputs_x = _resolve_ket(args.ket_x, args.path_x, None)
     ket_y, inputs_y = _resolve_ket(args.ket_y, args.path_y, None)
     proj_s = _parse_projector("--proj-s", args.proj_s)
@@ -400,12 +364,6 @@ def _add_state_source(parser) -> None:
     group.add_argument("--path", choices=("X", "Y"), help="predicted state of a decay path")
     group.add_argument("--levels", help="cascade F values, e.g. 2,2,3,3")
     group.add_argument("--ket", help="JSON file with a biphoton ket")
-
-
-def _add_target(parser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--target-path", choices=("X", "Y"), help="fidelity target: predicted path state")
-    group.add_argument("--target", help="fidelity target: ket JSON file")
 
 
 def _add_model_flags(parser) -> None:
@@ -449,17 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="random seed for resampling")
     p.add_argument("--subtract-background", type=float, default=0.0,
                    help="flat accidental level per unit exposure to subtract, clamped at zero")
-    _add_target(p)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--target-path", choices=("X", "Y"), help="fidelity target: predicted path state")
+    group.add_argument("--target", help="fidelity target: ket JSON file")
     p.add_argument("--out", help="output JSON file (default: stdout)")
     p.set_defaults(func=_cmd_reconstruct)
-
-    p = sub.add_parser("resample", help="bootstrap metric uncertainties from counts")
-    p.add_argument("--counts", required=True)
-    p.add_argument("--resamples", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    _add_target(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_resample)
 
     p = sub.add_parser("simulate-g2", help="simulate a coincidence histogram")
     p.add_argument("--preset", help="published-figure parameter bundle, e.g. fig3")
@@ -488,10 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-x", choices=("X", "Y"), default="X")
     p.add_argument("--ket-y", help="JSON ket of the second path")
     p.add_argument("--path-y", choices=("X", "Y"), default="Y")
-    p.add_argument("--proj-s", help="signal projector: H,V,D,A,L,R or 'hre,him,vre,vim'")
-    p.add_argument("--proj-i", help="idler projector")
-    p.add_argument("--r", type=float, help="pass a user-supplied relative amplitude through")
-    p.add_argument("--phi", type=float, help="pass a user-supplied relative phase through")
+    p.add_argument("--proj-s", required=True, help="signal projector: H,V,D,A,L,R or 'hre,him,vre,vim'")
+    p.add_argument("--proj-i", required=True, help="idler projector")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_beat_params)
 
@@ -500,12 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = argv
-    if args.subcommand == "beat-params" and args.r is None and args.phi is None:
-        if not args.proj_s or not args.proj_i:
-            parser.error("beat-params needs --proj-s and --proj-i (or --r and --phi)")
     try:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):

@@ -45,7 +45,11 @@ def read_csv(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
     """
     with open(path, newline="") as fh:
         lines = [(n, ln) for n, ln in enumerate(fh, start=1) if not ln.lstrip().startswith("#")]
-    rows = [(n, fields) for (n, _), fields in zip(lines, csv.reader(ln for _, ln in lines)) if fields]
+    reader = csv.reader(ln for _, ln in lines)
+    try:
+        rows = [(n, fields) for (n, _), fields in zip(lines, reader) if fields]
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise FileFormatError(lines[reader.line_num - 1][0], "row", str(exc)) from None
     if not rows:
         raise FileFormatError(1, "header", "file is empty")
     header_line, fields = rows[0]

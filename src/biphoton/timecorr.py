@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "FitResult",
     "HistogramPreset",
     "SinglePathParams",
-    "beat_contrast",
-    "convolve_jitter",
     "estimate_single_init",
     "fit_beats",
     "fit_single",
@@ -145,16 +143,6 @@ def g2_beats(dt, params: BeatModelParams):
     return _scalarize(dt, out)
 
 
-def beat_contrast(params: BeatModelParams) -> float:
-    """Zero-delay modulation depth 2r / (1 + r^2) of the interference term.
-
-    This is the amplitude of the oscillatory term relative to the two-path
-    envelope at zero delay; it distinguishes damped beats (small r) from
-    high-contrast beats (r near 1) independent of the envelope decay.
-    """
-    return 2.0 * params.r / (1.0 + params.r**2)
-
-
 @dataclass(frozen=True)
 class CoincidenceHistogram:
     """Binned coincidence counts versus signal-idler detection delay."""
@@ -162,7 +150,6 @@ class CoincidenceHistogram:
     bin_width: float
     t_start: float
     counts: np.ndarray
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=float).reshape(-1)
@@ -296,33 +283,7 @@ def simulate_histogram(
         raise ValueError("t_range must cover at least 2 bins")
     mu = _bin_means(model, t_lo, n_bins, bin_width)
     counts = np.random.default_rng(seed).poisson(mu)
-    metadata = {"seed": seed, "model": type(model).__name__}
-    return CoincidenceHistogram(bin_width, t_lo, counts.astype(float), metadata)
-
-
-def convolve_jitter(model_fn, sigma: float):
-    """Gaussian-jitter a model curve; returns a new callable.
-
-    The kernel is sampled at 601 nodes, truncated at 6 standard deviations,
-    and its quadrature weights renormalized to unit mass, so the curve
-    integral is preserved.  ``sigma = 0`` returns the model unchanged.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0.0:
-        return model_fn
-    z = np.linspace(-6.0, 6.0, 601)
-    weights = np.exp(-0.5 * z**2)
-    weights /= weights.sum()
-    shifts = sigma * z
-
-    def convolved(dt):
-        t = np.asarray(dt, dtype=float)
-        vals = np.asarray(model_fn(t[..., None] - shifts))
-        out = vals @ weights
-        return _scalarize(dt, out)
-
-    return convolved
+    return CoincidenceHistogram(bin_width, t_lo, counts.astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +566,6 @@ def read_histogram_csv(path) -> CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class HistogramPreset:
-    name: str
     model: SinglePathParams | BeatModelParams
     bin_width: float
     t_range: tuple[float, float]
@@ -614,21 +574,18 @@ class HistogramPreset:
 
 FIGURE_PRESETS: dict[str, HistogramPreset] = {
     "fig2x": HistogramPreset(
-        "fig2x",
         SinglePathParams(g0=2000.0, tau_rise=3.1, tau_decay=5.6, background=10.0),
         1.0,
         (-25.0, 50.0),
         "single decay path through the stronger intermediate level",
     ),
     "fig2y": HistogramPreset(
-        "fig2y",
         SinglePathParams(g0=2000.0, tau_rise=3.3, tau_decay=13.1, background=10.0),
         1.0,
         (-25.0, 75.0),
         "single decay path through the weaker intermediate level",
     ),
     "fig3": HistogramPreset(
-        "fig3",
         BeatModelParams(g0=20.0, tau_x=5.6, tau_y=13.1, r=1.0, phi=0.0,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,
@@ -636,7 +593,6 @@ FIGURE_PRESETS: dict[str, HistogramPreset] = {
         "high-contrast quantum beats with both decay paths open",
     ),
     "fig4a": HistogramPreset(
-        "fig4a",
         BeatModelParams(g0=30.0, tau_x=5.6, tau_y=13.1, r=2.86e-2, phi=math.pi,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,
@@ -644,7 +600,6 @@ FIGURE_PRESETS: dict[str, HistogramPreset] = {
         "beats damped by suppressing the second path",
     ),
     "fig4b": HistogramPreset(
-        "fig4b",
         BeatModelParams(g0=15.0, tau_x=5.6, tau_y=13.1, r=1.43, phi=0.0,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,
@@ -652,7 +607,6 @@ FIGURE_PRESETS: dict[str, HistogramPreset] = {
         "high-contrast beats, cosine term positive at zero delay",
     ),
     "fig4c": HistogramPreset(
-        "fig4c",
         BeatModelParams(g0=25.0, tau_x=5.6, tau_y=13.1, r=0.5, phi=math.pi,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,

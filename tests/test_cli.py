@@ -102,17 +102,6 @@ class TestTomographyPipeline:
                      "fidelity"):
             assert stats[name]["std"] >= 0.0
 
-    def test_resample_command(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        run(capsys, "simulate-tomo", "--path", "X", "--n", "2000",
-            "--seed", "5", "--out", "counts.csv")
-        payload = run_json(
-            capsys, "resample", "--counts", "counts.csv", "--resamples", "6",
-            "--seed", "2",
-        )
-        assert payload["n_resamples"] == 6
-        assert payload["metrics"]["concurrence"]["std"] > 0.0
-
     def test_predict_payload_accepted_as_target(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run(capsys, "predict", "--path", "X", "--out", "state.json")
@@ -417,18 +406,6 @@ class TestG2Pipeline:
 
 
 class TestBeatParamsCommand:
-    def test_user_supplied_passthrough(self, capsys):
-        payload = run_json(capsys, "beat-params", "--r", "2.86e-2", "--phi",
-                           str(math.pi))
-        assert payload["r"] == pytest.approx(2.86e-2)
-        assert payload["phi"] == pytest.approx(math.pi)
-        assert payload["source"] == "user"
-
-    def test_phase_folded_into_principal_range(self, capsys):
-        payload = run_json(capsys, "beat-params", "--r", "1.0", "--phi",
-                           str(3 * math.pi))
-        assert payload["phi"] == pytest.approx(math.pi)
-
     def test_from_projectors(self, capsys):
         payload = run_json(
             capsys, "beat-params", "--path-x", "X", "--path-y", "Y",
@@ -445,13 +422,39 @@ class TestBeatParamsCommand:
         assert payload["r"] == pytest.approx(r, abs=1e-12)
         assert payload["phi"] == pytest.approx(phi, abs=1e-12)
 
-    def test_negative_r_rejected(self, capsys):
-        code, _, _ = run(capsys, "beat-params", "--r", "-1", "--phi", "0")
-        assert code == 1
-
     def test_missing_projectors_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["beat-params", "--path-x", "X"])
+
+
+@pytest.mark.parametrize("argv", [["resample", "--counts", "c.csv", "--resamples", "3"],
+                                  ["beat-params", "--r", "1", "--phi", "0"]],
+                         ids=["resample", "beat-params-r-phi"])
+def test_removed_modes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: biphoton")
+
+
+@pytest.mark.parametrize("simulate, command, oversize", [
+    (["simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "in.csv"],
+     ["reconstruct", "--counts", "in.csv"], "H" * 200_000),
+    (["simulate-g2", "--preset", "fig2x", "--seed", "1", "--out", "in.csv"],
+     ["fit-g2", "--hist", "in.csv", "--preset", "fig2x"], "1" * 200_000),
+], ids=["counts-label", "histogram-bin-start"])
+def test_oversize_field_names_line(capsys, tmp_path, monkeypatch, simulate, command, oversize):
+    """A first field past the csv module's 131,072-character limit is a format error."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, *simulate)
+    lines = (tmp_path / "in.csv").read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[header + 1] = ",".join([oversize] + lines[header + 1].split(",")[1:])
+    (tmp_path / "in.csv").write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, *command)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line {header + 2}, field 'row': field larger than field limit")
+    assert err.count("\n") == 1
 
 
 class TestBadFlagValues:
@@ -463,7 +466,6 @@ class TestBadFlagValues:
         (["predict", "--levels", "2,2,3,1e400"], "--levels"),
         (["reconstruct", "--counts", "counts.csv", "--subtract-background", "-5"], "--subtract-background"),
         (["reconstruct", "--counts", "counts.csv", "--subtract-background", "nan"], "--subtract-background"),
-        (["beat-params", "--r", "nan", "--phi", "0"], "--r"),
         (["simulate-g2", "--preset", "fig3", "--g0", "nan", "--out", "h.csv"], "--g0"),
         (["fit-g2", "--hist", "h.csv", "--model", "single", "--g0", "nan"], "--g0"),
         (["predict", "--levels", "1e300,1e300,1e300,1e300"], "--levels"),
@@ -472,7 +474,7 @@ class TestBadFlagValues:
         (["simulate-g2", "--preset", "fig9", "--out", "h.csv"], "--preset"),
         (["fit-g2", "--hist", "h.csv", "--preset", "fig9"], "--preset"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
-            "beat-r-nan", "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
+            "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
             "proj-i-zero", "simulate-preset", "fit-preset"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)

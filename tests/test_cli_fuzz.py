@@ -13,7 +13,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from biphoton.cli import main
 
@@ -62,6 +62,8 @@ FIELD = st.one_of(st.sampled_from(AWKWARD), st.floats(allow_nan=True, allow_infi
 # A row of its own, or edits to some fields of the row it replaces.
 ROW = st.one_of(st.lists(FIELD, max_size=12),
                 st.dictionaries(st.integers(0, 10), FIELD, min_size=1, max_size=3))
+# Any text in place of one field, and text past the csv module's 131,072-character field limit.
+FIELD_TEXT = st.one_of(st.text(max_size=20), st.sampled_from(["x", "1", ","]).map(lambda c: c * 131_073))
 
 
 @pytest.fixture(scope="module")
@@ -118,22 +120,10 @@ def test_simulate_tomo_n(capsys, tmp_path, n):
 
 
 @FUZZ
-@given(r=NUMBERS, phi=NUMBERS)
-def test_beat_params_r_phi(capsys, r, phi):
-    outcome(capsys, ["beat-params", "--r", r, "--phi", phi])
-
-
-@FUZZ
 @given(background=NUMBERS, resamples=COUNTS, method=st.sampled_from(["mle", "linear"]))
 def test_reconstruct(capsys, inputs, background, resamples, method):
     outcome(capsys, ["reconstruct", "--counts", str(inputs / "c.csv"), "--method", method,
                      "--subtract-background", background, "--resamples", resamples, "--seed", "3"])
-
-
-@FUZZ
-@given(resamples=COUNTS)
-def test_resample(capsys, inputs, resamples):
-    outcome(capsys, ["resample", "--counts", str(inputs / "c.csv"), "--resamples", resamples])
 
 
 @FUZZ
@@ -191,3 +181,15 @@ def test_counts_rows(capsys, inputs, tmp_path, line, row, method):
 def test_histogram_rows(capsys, inputs, tmp_path, line, row, model):
     edit_row(inputs / "hs.csv", tmp_path / "h.csv", line, row)
     outcome(capsys, ["fit-g2", "--hist", str(tmp_path / "h.csv"), model])
+
+
+@FUZZ
+@pytest.mark.parametrize("source, columns, command", [
+    ("c.csv", 11, ["reconstruct", "--counts"]),
+    ("hs.csv", 2, ["fit-g2", "--preset=fig2x", "--hist"]),
+], ids=["counts", "histogram"])
+@given(line=st.integers(0, 85), column=st.integers(0, 10), text=FIELD_TEXT)
+@example(line=4, column=0, text="1" * 200_000)
+def test_field_text(capsys, inputs, tmp_path, source, columns, command, line, column, text):
+    edit_row(inputs / source, tmp_path / source, line, {column % columns: text})
+    outcome(capsys, command + [str(tmp_path / source)])

@@ -30,8 +30,8 @@ EXPORTED = {
                  "find_beat_projectors", "joint_projection_amplitude", "ket_from_path",
                  "named_projector", "predict_path_state"],
     "timecorr": ["DEFAULT_DELTA", "FIGURE_PRESETS", "BeatModelParams", "CoincidenceHistogram",
-                 "SinglePathParams", "beat_contrast", "convolve_jitter", "fit_beats", "fit_single",
-                 "g2_beats", "g2_single", "simulate_histogram"],
+                 "SinglePathParams", "fit_beats", "fit_single", "g2_beats", "g2_single",
+                 "simulate_histogram"],
     "tomography": ["CountsRecord", "MeasurementSetting", "TomographyResult", "reconstruct_linear",
                    "reconstruct_mle", "resample_uncertainties", "simulate_counts", "standard_settings"],
 }

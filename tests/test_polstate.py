@@ -18,6 +18,7 @@ from biphoton.polstate import (
     PathAmplitudes,
     ProjectionDegeneracyError,
     Projector,
+    _wrap_phase,
     beat_params,
     change_basis,
     density_from_dict,
@@ -272,6 +273,15 @@ class TestBeatParams:
         assert math.remainder(phi1 - phi0 - beta, 2 * math.pi) == pytest.approx(
             0.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("phi, folded", [
+        (3 * math.pi, math.pi), (-math.pi, math.pi), (math.pi, math.pi),
+        (-1.5 * math.pi, 0.5 * math.pi), (0.0, 0.0),
+    ], ids=["3pi", "-pi", "pi", "-3pi/2", "0"])
+    def test_phase_folded_into_principal_range(self, phi, folded):
+        wrapped = _wrap_phase(phi)
+        assert -math.pi < wrapped <= math.pi
+        assert wrapped == pytest.approx(folded, abs=1e-12)
 
 
 class TestBeatProjectorSearch:

@@ -1,4 +1,4 @@
-"""Time-correlation models, synthetic histograms, jitter convolution, fits."""
+"""Time-correlation models, synthetic histograms, fits."""
 
 import cmath
 import math
@@ -21,8 +21,6 @@ from biphoton.timecorr import (
     _bin_means,
     _model_values,
     _scaled_svd,
-    beat_contrast,
-    convolve_jitter,
     estimate_single_init,
     fit_beats,
     fit_single,
@@ -120,9 +118,11 @@ class TestBeatModel:
         assert np.max(np.abs(spacings - 2 * math.pi / model.delta)) < 0.05
 
     def test_damped_regime_contrast(self):
+        # zero-delay modulation depth: the cross term over the two-path envelope
         model = FIGURE_PRESETS["fig4a"].model
-        contrast = beat_contrast(model)
-        assert contrast == pytest.approx(2 * model.r / (1 + model.r**2), abs=1e-15)
+        envelope = model.g0**2 * (1 + model.r**2)
+        contrast = abs(g2_beats(0.0, model) - model.background - envelope) / envelope
+        assert contrast == pytest.approx(2 * model.r / (1 + model.r**2), rel=1e-12)
         assert contrast <= 0.06
 
     def test_antiphase_regimes(self):
@@ -278,59 +278,6 @@ class TestBinMeans:
             sub_mu, jac = means(edges, 0.37, values, subset)
             assert np.array_equal(sub_mu, mu)
             assert np.array_equal(jac, full[:, [names.index(name) for name in subset]]), subset
-
-
-class TestConvolveJitter:
-    def test_zero_sigma_is_identity(self):
-        f = lambda t: g2_single(t, FIGURE_PRESETS["fig2x"].model)
-        assert convolve_jitter(f, 0.0) is f
-
-    def test_gaussian_bump_oracle(self):
-        amp, center, width, sigma = 7.0, 5.0, 2.0, 1.3
-        bump = lambda t: amp * np.exp(-((np.asarray(t, float) - center) ** 2)
-                                      / (2 * width**2))
-        conv = convolve_jitter(bump, sigma)
-        t = np.linspace(-40.0, 60.0, 40001)
-        widened = math.sqrt(width**2 + sigma**2)
-        exact = amp * width / widened * np.exp(-((t - center) ** 2) / (2 * widened**2))
-        assert np.max(np.abs(conv(t) - exact)) < 1e-7
-        # total integral preserved
-        mass = np.trapezoid(conv(t), t)
-        assert mass == pytest.approx(amp * width * math.sqrt(2 * math.pi), rel=1e-6)
-
-    def test_beat_contrast_attenuation(self):
-        model = FIGURE_PRESETS["fig3"].model
-        period = 2 * math.pi / model.delta
-        f = lambda t: g2_beats(t, model)
-
-        def envelope(t):
-            t = np.asarray(t, float)
-            pos = np.maximum(t, 0.0)
-            shape = model.g0**2 * (
-                np.exp(-pos / model.tau_x) + model.r**2 * np.exp(-pos / model.tau_y)
-            )
-            return np.where(t >= 0.0, shape, 0.0) + model.background
-
-        def oscillation_amplitude(fn, env_fn):
-            t = np.linspace(period, 3 * period, 4001)
-            vals = np.asarray(fn(t)) - np.asarray(env_fn(t))
-            return abs(np.trapezoid(vals * np.exp(-1j * model.delta * t), t))
-
-        base = oscillation_amplitude(f, envelope)
-        previous = math.inf
-        for sigma in (0.04, 0.5, 1.0):
-            conv = convolve_jitter(f, sigma)
-            conv_env = convolve_jitter(envelope, sigma)
-            amp = oscillation_amplitude(conv, conv_env)
-            ratio = amp / base
-            oracle = math.exp(-model.delta**2 * sigma**2 / 2)
-            assert ratio == pytest.approx(oracle, rel=0.05)
-            assert amp < previous
-            previous = amp
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            convolve_jitter(lambda t: t, -0.1)
 
 
 def noiseless_histogram(model, bin_width, t_range) -> CoincidenceHistogram:
