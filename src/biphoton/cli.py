@@ -1,10 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: predict, simulate-tomo, reconstruct, simulate-g2, fit-g2,
-beat-params.  Every command is deterministic for a fixed --seed
-(default from the BIPHOTON_SEED environment variable, else 12345), and every
-output artifact embeds the tool version, the command line, the seed, and a
-SHA-256 digest of each input file.
+beat-params.  Every command is deterministic for a fixed --seed (default
+12345), and every output artifact embeds the tool version, the command line,
+the seed, and a SHA-256 digest of each input file.
 
 Each handler imports the modules it runs, so that a cold invocation loads
 only those: the histogram commands never load tomography, nor the state
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING
@@ -37,15 +35,11 @@ def _path_levels(path: str) -> CascadeLevels:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("BIPHOTON_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"BIPHOTON_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
+    if args.seed is None:
+        return DEFAULT_SEED
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _sha256(path: str) -> str:
@@ -174,6 +168,8 @@ def _cmd_simulate_tomo(args) -> int:
     from . import polstate, tomography
 
     seed = _resolve_seed(args)
+    if not args.n > 0:
+        raise ValueError(f"--n must be positive, got {args.n!r}")
     ket, inputs = _resolve_ket(args.ket, args.path, args.levels)
     rho = polstate.density_from_ket(ket)
     settings = tomography.standard_settings(args.settings)
@@ -202,6 +198,10 @@ def _cmd_reconstruct(args) -> int:
     from . import entanglement, polstate, tomography
 
     seed = _resolve_seed(args)
+    if args.resamples and args.method == "linear":
+        raise ValueError("--resamples is the MLE bootstrap and cannot be combined with --method linear")
+    if args.resamples < 0 or args.resamples == 1:
+        raise ValueError(f"--resamples must be 0 or at least 2, got {args.resamples}")
     records = tomography.read_counts_csv(args.counts)
     target, target_inputs = _resolve_ket(args.target, args.target_path, None)
     records = _subtract_background(records, args.subtract_background)
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--settings", choices=("minimal16", "overcomplete36"),
                    default="overcomplete36")
     p.add_argument("--n", type=float, default=1e5, help="mean counts per setting (default 1e5)")
-    p.add_argument("--seed", type=int, help="random seed (default: BIPHOTON_SEED or 12345)")
+    p.add_argument("--seed", type=int, help="random seed (default 12345)")
     p.add_argument("--out", required=True, help="output counts CSV")
     p.set_defaults(func=_cmd_simulate_tomo)
 
@@ -403,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True, help="counts CSV file")
     p.add_argument("--method", choices=("mle", "linear"), default="mle")
     p.add_argument("--resamples", type=int, default=0,
-                   help="bootstrap resamples for metric uncertainties (default 0: skip)")
+                   help="MLE bootstrap resamples for metric uncertainties: 0 (the default, "
+                        "skip) or at least 2; not with --method linear")
     p.add_argument("--seed", type=int, help="random seed for resampling")
     p.add_argument("--subtract-background", type=float, default=0.0,
                    help="flat accidental level per unit exposure to subtract, clamped at zero")

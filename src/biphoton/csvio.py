@@ -38,7 +38,8 @@ def write_csv(path, header: list[str], rows, comments: list[str] | None = None) 
 
 
 def read_csv(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
-    """(file line number, fields by column name) of every data row.
+    """(file line number, fields by column name) of every data row; a row
+    whose quoted field spans lines is numbered by its last line.
 
     Blank lines are skipped; the first other line must be exactly ``header``
     and one or more data rows, each with as many fields, must follow it.
@@ -47,7 +48,7 @@ def read_csv(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
         lines = [(n, ln) for n, ln in enumerate(fh, start=1) if not ln.lstrip().startswith("#")]
     reader = csv.reader(ln for _, ln in lines)
     try:
-        rows = [(n, fields) for (n, _), fields in zip(lines, reader) if fields]
+        rows = [(lines[reader.line_num - 1][0], fields) for fields in reader if fields]
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise FileFormatError(lines[reader.line_num - 1][0], "row", str(exc)) from None
     if not rows:

@@ -34,7 +34,6 @@ __all__ = [
     "change_basis",
     "density_change_basis",
     "density_from_ket",
-    "density_from_dict",
     "density_to_dict",
     "find_beat_projectors",
     "joint_projection_amplitude",
@@ -134,14 +133,6 @@ class BiphotonKet:
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm2 - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"ket not normalized: |psi|^2 = {norm2!r}")
-
-    @classmethod
-    def normalized(cls, amplitudes, basis: str = CIRCULAR) -> "BiphotonKet":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(4)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero ket")
-        return cls(amps / norm, basis)
 
 
 @dataclass(frozen=True)
@@ -438,12 +429,3 @@ def density_to_dict(rho: DensityMatrix4) -> dict:
         "basis": rho.basis,
         "matrix": [[_c2p(z) for z in row] for row in rho.matrix],
     }
-
-
-def density_from_dict(data: dict) -> DensityMatrix4:
-    """Density matrix from ``{"basis": ..., "matrix": 4 rows of 4 [re, im] pairs}``; ValueError if malformed."""
-    rows = data.get("matrix") if isinstance(data, dict) else None
-    if not isinstance(rows, list) or len(rows) != 4 or any(not isinstance(row, list) or len(row) != 4 for row in rows):
-        raise ValueError("a density matrix needs a 'basis' and a 'matrix' of 4 rows of 4 [re, im] pairs")
-    mat = np.array([[_p2c(z) for z in row] for row in rows], dtype=complex)
-    return DensityMatrix4(mat, _check_basis(data.get("basis")))

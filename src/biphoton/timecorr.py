@@ -10,7 +10,7 @@ deviance and ``iterations`` counts the scoring steps.
 
 Histogram CSV format: header ``bin_start_ns,counts`` ('#' comment lines may
 precede it).  Fit reports serialize as {params, sigmas, chi2_reduced, n_dof,
-converged, iterations}.
+iterations}; a fit that does not converge raises FitConvergenceError.
 """
 
 from __future__ import annotations
@@ -299,7 +299,6 @@ class FitResult:
     chi2: float
     chi2_reduced: float
     n_dof: int
-    converged: bool
     iterations: int
     offset: float = 0.0
 
@@ -314,7 +313,6 @@ class FitResult:
             "sigmas": sigmas,
             "chi2_reduced": self.chi2_reduced,
             "n_dof": self.n_dof,
-            "converged": self.converged,
             "iterations": self.iterations,
         }
 
@@ -463,7 +461,6 @@ def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult
         chi2=chi2,
         chi2_reduced=chi2 / max(n_dof, 1),
         n_dof=n_dof,
-        converged=stop is None,
         iterations=steps,
         offset=float(x[-1]) if fit_offset else 0.0,
     )

@@ -21,7 +21,7 @@ def rho_x(ket_x):
 
 def random_pure_ket(rng: np.random.Generator) -> bp.BiphotonKet:
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return bp.BiphotonKet.normalized(amps, bp.CIRCULAR)
+    return bp.BiphotonKet(amps / np.linalg.norm(amps), bp.CIRCULAR)
 
 
 def g2_beats_from_amplitudes(dt, params: bp.BeatModelParams, omega_idler: float = 0.0):

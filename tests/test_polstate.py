@@ -21,7 +21,6 @@ from biphoton.polstate import (
     _wrap_phase,
     beat_params,
     change_basis,
-    density_from_dict,
     density_from_ket,
     density_to_dict,
     find_beat_projectors,
@@ -310,7 +309,8 @@ class TestBeatProjectorSearch:
             return rng.normal(size=2) + 1j * rng.normal(size=2)
 
         def product(signal, idler):
-            return BiphotonKet.normalized(np.kron(signal, idler), LINEAR)
+            amps = np.kron(signal, idler)
+            return BiphotonKet(amps / np.linalg.norm(amps), LINEAR)
 
         for case in range(1002):
             kind = ("entangled", "shared signal", "shared idler")[case % 3]
@@ -362,7 +362,8 @@ class TestJsonInterchange:
         assert back.c_v == pytest.approx(proj.c_v)
 
     def test_density_round_trip(self, rho_x):
-        back = density_from_dict(density_to_dict(rho_x))
+        data = density_to_dict(rho_x)
+        back = DensityMatrix4([[complex(re, im) for re, im in row] for row in data["matrix"]], data["basis"])
         assert np.allclose(back.matrix, rho_x.matrix)
         assert back.basis == rho_x.basis
 
@@ -377,16 +378,15 @@ class TestJsonInterchange:
 
     @pytest.mark.parametrize("data", [
         {},
-        {"matrix": 5},
-        {"matrix": [[[0.25, 0.0]] * 4] * 4},
+        {"amplitudes": 5},
+        {"amplitudes": [[0.5, 0.0]] * 4},
         [],
-        {"basis": CIRCULAR, "matrix": [5, 6, 7, 8]},
-        {"basis": CIRCULAR, "matrix": [[[0.25, 0.0]] * 4] * 3},
-        {"basis": CIRCULAR, "matrix": [[0.25] * 4] * 4},
-    ], ids=["empty", "scalar-matrix", "no-basis", "list", "flat-rows", "three-rows", "bare-numbers"])
-    def test_malformed_density_rejected(self, data):
+        {"basis": CIRCULAR, "amplitudes": [[0.5, 0.0, 0.0]] * 4},
+        {"basis": CIRCULAR, "amplitudes": [0.5] * 4},
+    ], ids=["empty", "scalar-amplitudes", "no-basis", "list", "triples", "bare-numbers"])
+    def test_malformed_ket_shape_rejected(self, data):
         with pytest.raises(ValueError):
-            density_from_dict(data)
+            ket_from_dict(data)
 
 
 class TestProjectorValidation:

@@ -377,7 +377,7 @@ class TestFitSingle:
         with pytest.raises(FitConvergenceError) as err:
             fit_single(hist, estimate_single_init(hist))
         assert "after 1 steps" in str(err.value)
-        assert err.value.best.iterations == 1 and not err.value.best.converged
+        assert err.value.best.iterations == 1
 
     def test_fits_zero_background(self):
         # A step that takes the background below zero must not freeze it there.
@@ -396,7 +396,6 @@ class TestFitBeats:
                                   seed=11)
         fit = fit_beats(hist, preset.model)
         assert fit.params.g0 == pytest.approx(preset.model.g0, rel=0.03)
-        assert fit.converged
 
     def test_histogram_without_counts_is_degenerate(self):
         preset = FIGURE_PRESETS["fig3"]
@@ -535,7 +534,8 @@ class TestFitCalibration:
     @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
     def test_mean_z_scores_near_zero(self, name):
         # 200 histograms drawn from the exact bin means, each preset fitted
-        # with its default free set; z = (fitted - true) / reported sigma.
+        # with its default free set; z = (fitted - true) / reported sigma
+        # should have mean 0 and standard deviation 1.
         preset = FIGURE_PRESETS[name]
         model = preset.model
         z = {}
@@ -553,11 +553,8 @@ class TestFitCalibration:
         assert "background" in z
         for param, values in z.items():
             values = np.array(values)
-            if param == "background":
-                # Neyman (1/n) weights put it 11-30 standard errors low here
-                assert abs(values.mean()) <= 3.0 * values.std(ddof=1) / math.sqrt(values.size)
-            else:
-                assert abs(values.mean()) <= 0.3, param
+            assert abs(values.mean()) <= 0.3, param
+            assert 0.85 <= values.std(ddof=1) <= 1.15, param
 
 
 class TestHistogramCsv:
