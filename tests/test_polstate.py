@@ -383,7 +383,9 @@ class TestJsonInterchange:
         [],
         {"basis": CIRCULAR, "amplitudes": [[0.5, 0.0, 0.0]] * 4},
         {"basis": CIRCULAR, "amplitudes": [0.5] * 4},
-    ], ids=["empty", "scalar-amplitudes", "no-basis", "list", "triples", "bare-numbers"])
+        {"basis": CIRCULAR, "amplitudes": [[0.5, 0.0]] * 3},
+    ], ids=["empty", "scalar-amplitudes", "no-basis", "list", "triples", "bare-numbers",
+            "three-rows"])
     def test_malformed_ket_shape_rejected(self, data):
         with pytest.raises(ValueError):
             ket_from_dict(data)
