@@ -168,12 +168,13 @@ def _cmd_simulate_tomo(args) -> int:
     from . import polstate, tomography
 
     seed = _resolve_seed(args)
-    if not args.n > 0:
-        raise ValueError(f"--n must be positive, got {args.n!r}")
     ket, inputs = _resolve_ket(args.ket, args.path, args.levels)
     rho = polstate.density_from_ket(ket)
     settings = tomography.standard_settings(args.settings)
-    records = tomography.simulate_counts(rho, settings, args.n, seed)
+    try:
+        records = tomography.simulate_counts(rho, settings, args.n, seed)
+    except ValueError as exc:
+        raise _as_flag(exc) from None
     meta = _meta(args, seed, inputs)
     tomography.write_counts_csv(records, args.out, comments=_meta_comments(meta))
     return 0
@@ -272,8 +273,17 @@ def _with_model_flags(args, model):
     try:
         return replace(model, **given)
     except ValueError as exc:  # the model names the rejected field, a given one, first
-        name, _, rule = str(exc).partition(" ")
-        raise ValueError(f"--{name.replace('_', '-')} {rule}") from None
+        raise _as_flag(exc) from None
+
+
+# The flags of the library arguments whose flag is not their name in dashes.
+_ARGUMENT_FLAGS = {"n_per_setting": "--n", "t_range": "--t-min/--t-max"}
+
+
+def _as_flag(exc: ValueError) -> ValueError:
+    """A library error that names its argument first, with the argument's flag in its place."""
+    name, _, rule = str(exc).partition(" ")
+    return ValueError(f"{_ARGUMENT_FLAGS.get(name, '--' + name.replace('_', '-'))} {rule}")
 
 
 def _cmd_simulate_g2(args) -> int:
@@ -291,7 +301,11 @@ def _cmd_simulate_g2(args) -> int:
     else:
         model = _simulate_model(args.model)
         bin_width, t_min, t_max = args.bin_width, args.t_min, args.t_max
-    hist = timecorr.simulate_histogram(_with_model_flags(args, model), bin_width, (t_min, t_max), seed)
+    model = _with_model_flags(args, model)
+    try:
+        hist = timecorr.simulate_histogram(model, bin_width, (t_min, t_max), seed)
+    except ValueError as exc:
+        raise _as_flag(exc) from None
     meta = _meta(args, seed, [])
     timecorr.write_histogram_csv(hist, args.out, comments=_meta_comments(meta))
     return 0

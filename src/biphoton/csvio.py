@@ -1,5 +1,5 @@
 """The CSV reading, writing and format error shared by the counts and
-histogram files.
+histogram files, and the largest Poisson mean their simulators can draw from.
 
 Lines starting with '#' are comments.  The reader skips them but keeps them
 in the line count, so an error names the line as a text editor shows it.
@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import math
 
-__all__ = ["FileFormatError", "format_number", "parse_float", "read_csv", "write_csv"]
+__all__ = ["POISSON_MAX", "FileFormatError", "format_number", "parse_float", "read_csv", "write_csv"]
+
+#: The largest mean numpy's Poisson sampler accepts, 2^63 - 1 - 10 sqrt(2^63 - 1).
+POISSON_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 
 
 class FileFormatError(ValueError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csvio import FileFormatError, format_number, parse_float, read_csv, write_csv
+from .csvio import POISSON_MAX, FileFormatError, format_number, parse_float, read_csv, write_csv
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -272,7 +272,8 @@ def simulate_histogram(
     t_range: tuple[float, float],
     seed: int,
 ) -> CoincidenceHistogram:
-    """Poisson-sample a histogram whose bin expectations are the exact bin means."""
+    """Poisson-sample a histogram whose bin expectations are the exact bin means;
+    ValueError if a mean is not finite or above the sampler's POISSON_MAX."""
     t_lo, t_hi = t_range
     if not t_hi > t_lo:
         raise ValueError("t_range must be ordered")
@@ -281,7 +282,11 @@ def simulate_histogram(
     n_bins = int(round((t_hi - t_lo) / bin_width))
     if n_bins < 2:
         raise ValueError("t_range must cover at least 2 bins")
-    mu = _bin_means(model, t_lo, n_bins, bin_width)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below instead
+        mu = _bin_means(model, t_lo, n_bins, bin_width)
+    if not np.all(mu <= POISSON_MAX):
+        raise ValueError(f"g0 (with the other parameters) gives a bin mean that is not finite "
+                         f"or above {POISSON_MAX:.4g}, the largest Poisson mean numpy draws")
     counts = np.random.default_rng(seed).poisson(mu)
     return CoincidenceHistogram(bin_width, t_lo, counts.astype(float))
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import entanglement
-from .csvio import FileFormatError, format_number, parse_float, read_csv, write_csv
+from .csvio import POISSON_MAX, FileFormatError, format_number, parse_float, read_csv, write_csv
 from .polstate import (
     LINEAR,
     BiphotonKet,
@@ -183,6 +184,9 @@ def simulate_counts(
     if not 0 < n_per_setting < np.inf:
         raise ValueError(f"n_per_setting must be finite and positive, got {n_per_setting!r}")
     mu = n_per_setting * expected_probabilities(rho, settings)
+    if mu.max(initial=0.0) > POISSON_MAX:
+        raise ValueError(f"n_per_setting gives a Poisson mean above {POISSON_MAX:.4g}, "
+                         f"the largest numpy draws, got {n_per_setting!r}")
     children = np.random.SeedSequence(seed).spawn(len(settings))
     return [
         CountsRecord(setting, int(np.random.default_rng(child).poisson(m)), 1.0)
@@ -279,15 +283,18 @@ _E[np.arange(5, 16, 2), _TRIL[0], _TRIL[1]] = 1j
 # (c (x x^T + lambda I) - H) d = g, c the largest |diagonal entry| of H; the
 # x x^T term pins the radial direction, along which ll is flat.  A system with
 # no Cholesky factor gives no ascent step and counts as a rejected step, so the
-# ascent cannot settle on a saddle.  A step evaluates ll, gradient and Hessian
-# once, at the trial point of every active problem (its current point if it
-# has no ascent step), unless none has one; a problem leaves the stack when it
-# stops.  The damping lambda starts at _DAMPING; it is divided by 10 (down to
-# _DAMPING_MIN) after an accepted step and multiplied by 10 after a rejected
-# one.  A step is accepted when ll does not fall by more than its rounding,
-# _ROUNDING |ll|.  The ascent stops at an accepted step with lambda at most
-# _UNDAMPED that gains less than _GAIN_TOL |ll|, and fails once lambda exceeds
-# _DAMPING_MAX or _MAX_ITERATIONS steps run out.
+# ascent cannot settle on a saddle.  One stacked LAPACK Cholesky call per step
+# tests every live system, a failure read from its NaN output, and one stacked
+# solve gives the steps: both from numpy's private numpy.linalg._umath_linalg,
+# pinned by test_positive_definite_matches_cholesky and test_step_solve_matches_linalg_solve.
+# A step evaluates ll, gradient and Hessian once, at the trial point of every
+# active problem (its current point if it has no ascent step), unless none has
+# one; a problem leaves the stack when it stops.  The damping lambda starts at
+# _DAMPING; it is divided by 10 (down to _DAMPING_MIN) after an accepted step
+# and multiplied by 10 after a rejected one.  A step is accepted when ll does
+# not fall by more than its rounding, _ROUNDING |ll|.  The ascent stops at an
+# accepted step with lambda at most _UNDAMPED that gains less than _GAIN_TOL
+# |ll|, and fails once lambda exceeds _DAMPING_MAX or _MAX_ITERATIONS steps run out.
 _DAMPING = 1e-3
 _DAMPING_MIN = 1e-12
 _UNDAMPED = 1e-6
@@ -347,15 +354,11 @@ def _likelihood(x, rows, flat, weights, seen):
 
 
 def _positive_definite(systems: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack (B, 16, 16) has a Cholesky factor.  A
-    stacked cholesky raises if any one fails; only then are they tested one by one."""
-    try:
-        np.linalg.cholesky(systems)
-    except np.linalg.LinAlgError:
-        if len(systems) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_positive_definite(m[None]) for m in systems])
-    return np.ones(len(systems), dtype=bool)
+    """Whether each matrix of the stack (B, 16, 16) has a Cholesky factor, as
+    np.linalg.cholesky decides, from one stacked call of its LAPACK gufunc: that
+    zeroes the upper triangle of a factor and fills a failed one with NaN instead
+    of raising.  Callers ignore numpy's invalid warning, its signal of a failure."""
+    return _umath_linalg.cholesky_lo(systems, signature="d->d")[:, 0, -1] == 0.0
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -380,12 +383,11 @@ def _ascend(x: np.ndarray, forms: np.ndarray, counts: np.ndarray):
         system = scale[:, None, None] * (x[:, :, None] * x[:, None, :] + damping[:, None, None] * eye) - hess
         accept = done = _positive_definite(system)  # the problems with an ascent step
         ascents = np.count_nonzero(accept)  # the cheapest numpy test of a small mask
-        if ascents == len(live):
-            trial = x + np.linalg.solve(system, grad[:, :, None])[..., 0]
-        elif ascents:
-            step = np.linalg.solve(np.where(accept[:, None, None], system, eye), grad[:, :, None])
-            trial = x + np.where(accept[:, None], step[..., 0], 0.0)
         if ascents:  # without one, every trial would be rejected
+            if ascents < len(live):
+                system = np.where(accept[:, None, None], system, eye)
+            step = _umath_linalg.solve(system, grad[:, :, None], signature="dd->d")[..., 0]
+            trial = x + (step if ascents == len(live) else np.where(accept[:, None], step, 0.0))
             trial /= np.sqrt((trial * trial).sum(axis=-1))[:, None]
             ll_trial, grad_trial, hess_trial = _likelihood(trial, *forms, weights, seen)
             tol = np.abs(ll)

@@ -484,10 +484,14 @@ class TestBadFlagValues:
         (["reconstruct", "--counts", "counts.csv", "--resamples", "1"], "--resamples"),
         (["reconstruct", "--counts", "counts.csv", "--resamples", "-3"], "--resamples"),
         (["simulate-tomo", "--path", "X", "--n", "0", "--out", "c.csv"], "--n"),
+        (["simulate-tomo", "--path", "X", "--n", "1e300", "--out", "c.csv"], "--n"),
+        (["simulate-g2", "--preset", "fig3", "--g0", "1e200", "--out", "h2.csv"], "--g0"),
+        (["simulate-g2", "--preset", "fig2x", "--g0", "1e300", "--out", "h2.csv"], "--g0"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
             "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
             "proj-i-zero", "simulate-preset", "fit-preset", "seed-negative", "resamples-one",
-            "resamples-negative", "n-zero"])
+            "resamples-negative", "n-zero", "n-above-poisson-limit", "beats-g0-overflow",
+            "single-g0-above-poisson-limit"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
