@@ -286,6 +286,15 @@ def _as_flag(exc: ValueError) -> ValueError:
     return ValueError(f"{_ARGUMENT_FLAGS.get(name, '--' + name.replace('_', '-'))} {rule}")
 
 
+def _as_model_flags(args, exc: ValueError) -> ValueError | None:
+    """A library error about the model as a whole ("the model ..." or "the starting
+    model ..."), led by the model flags given, if any; None for any other error."""
+    if not str(exc).startswith(("the model ", "the starting model ")):
+        return None
+    given = [f"--{name.replace('_', '-')}" for name in _MODEL_FLAGS if getattr(args, name) is not None]
+    return ValueError(f"{'/'.join(given)}: {exc}") if given else exc
+
+
 def _cmd_simulate_g2(args) -> int:
     from . import timecorr
 
@@ -305,7 +314,7 @@ def _cmd_simulate_g2(args) -> int:
     try:
         hist = timecorr.simulate_histogram(model, bin_width, (t_min, t_max), seed)
     except ValueError as exc:
-        raise _as_flag(exc) from None
+        raise _as_model_flags(args, exc) or _as_flag(exc) from None
     meta = _meta(args, seed, [])
     timecorr.write_histogram_csv(hist, args.out, comments=_meta_comments(meta))
     return 0
@@ -330,8 +339,7 @@ def _cmd_fit_g2(args) -> int:
     model = _with_model_flags(args, start)
 
     if isinstance(model, timecorr.SinglePathParams):
-        model_kind = "single"
-        fit = timecorr.fit_single(hist, model, fit_offset=args.fit_offset)
+        model_kind, free = "single", None
     else:
         model_kind = "beats"
         free = tuple(name.strip() for name in args.free.split(",") if name.strip())
@@ -339,7 +347,13 @@ def _cmd_fit_g2(args) -> int:
             timecorr._check_free(free)
         except ValueError as exc:
             raise ValueError(f"--free {args.free!r}: {exc}") from None
-        fit = timecorr.fit_beats(hist, model, free=free, fit_offset=args.fit_offset)
+    try:
+        if free is None:
+            fit = timecorr.fit_single(hist, model, fit_offset=args.fit_offset)
+        else:
+            fit = timecorr.fit_beats(hist, model, free=free, fit_offset=args.fit_offset)
+    except ValueError as exc:
+        raise _as_model_flags(args, exc) or exc
 
     payload = {
         "meta": _meta(args, None, [args.hist]),

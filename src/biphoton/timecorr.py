@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .csvio import POISSON_MAX, FileFormatError, format_number, parse_float, read_csv, write_csv
 
@@ -190,14 +191,18 @@ def _single_means(edges, width, values, names=()):
     rise, fall = np.exp(before / tau_rise), np.exp(-after / tau_decay)
     shape = (tau_rise * _diff(rise) - tau_decay * _diff(fall)) / width
     mu = g0 * shape + background
+    if not names:
+        return mu
     scale = g0 / width
-    return _with_jacobian(mu, names, {
-        "g0": lambda: shape,
-        "tau_rise": lambda: scale * _diff(rise * (1.0 - before / tau_rise)),
-        "tau_decay": lambda: -scale * _diff(fall * (1.0 + after / tau_decay)),
-        "background": lambda: 1.0,
-        "offset": lambda: -scale * _diff(rise * fall),
-    })
+    jac = np.empty((mu.size, len(names)))
+    for i, name in enumerate(names):  # each column only when asked for
+        match name:
+            case "g0": jac[:, i] = shape
+            case "tau_rise": jac[:, i] = scale * _diff(rise * (1.0 - before / tau_rise))
+            case "tau_decay": jac[:, i] = -scale * _diff(fall * (1.0 + after / tau_decay))
+            case "background": jac[:, i] = 1.0
+            case "offset": jac[:, i] = -scale * _diff(rise * fall)
+    return mu, jac
 
 
 def _beats_means(edges, width, values, names=()):
@@ -213,34 +218,28 @@ def _beats_means(edges, width, values, names=()):
     dy = _diff(ey)
     shape = (-tau_x * _diff(ex) - r * r * tau_y * dy + 2.0 * r * cross.real) / width
     mu = g0_squared * shape + background
+    if not names:
+        return mu
     scale = g0_squared / width
     if not {"delta", "tau_x", "tau_y"}.isdisjoint(names):
         moment = turn * _diff((k * t + 1.0) * ek) / -(k * k)  # e^{i phi} int t e^{-k t} dt
-    return _with_jacobian(mu, names, {
-        "g0": lambda: shape,
-        "background": lambda: 1.0,
-        "r": lambda: 2.0 * scale * (cross.real - r * tau_y * dy),
-        "phi": lambda: -2.0 * r * scale * cross.imag,
-        "delta": lambda: -2.0 * r * scale * moment.imag,
-        "tau_x": lambda: scale * (r * moment.real / tau_x**2 - _diff((t / tau_x + 1.0) * ex)),
-        "tau_y": lambda: scale * r * (moment.real / tau_y**2 - r * _diff((t / tau_y + 1.0) * ey)),
-        "offset": lambda: -scale * _diff(
-            np.where(edges >= 0.0, ex + r * r * ey + 2.0 * r * (turn * ek).real, 0.0)),
-    })
+    jac = np.empty((mu.size, len(names)))
+    for i, name in enumerate(names):
+        match name:
+            case "g0": jac[:, i] = shape
+            case "background": jac[:, i] = 1.0
+            case "r": jac[:, i] = 2.0 * scale * (cross.real - r * tau_y * dy)
+            case "phi": jac[:, i] = -2.0 * r * scale * cross.imag
+            case "delta": jac[:, i] = -2.0 * r * scale * moment.imag
+            case "tau_x": jac[:, i] = scale * (r * moment.real / tau_x**2 - _diff((t / tau_x + 1.0) * ex))
+            case "tau_y": jac[:, i] = scale * r * (moment.real / tau_y**2 - r * _diff((t / tau_y + 1.0) * ey))
+            case "offset": jac[:, i] = -scale * _diff(
+                np.where(edges >= 0.0, ex + r * r * ey + 2.0 * r * (turn * ek).real, 0.0))
+    return mu, jac
 
 
 def _diff(a: np.ndarray) -> np.ndarray:
     return a[1:] - a[:-1]  # np.diff(a) to the bit, without its per-call overhead
-
-
-def _with_jacobian(mu: np.ndarray, names, columns: dict):
-    """``mu``, and with ``names`` also the Jacobian: those columns in order, each by its thunk."""
-    if not names:
-        return mu
-    jac = np.empty((mu.size, len(names)))
-    for i, name in enumerate(names):
-        jac[:, i] = columns[name]()
-    return mu, jac
 
 
 _BEAT_FIELDS = ("g0", "tau_x", "tau_y", "r", "phi", "delta", "background")
@@ -285,8 +284,8 @@ def simulate_histogram(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below instead
         mu = _bin_means(model, t_lo, n_bins, bin_width)
     if not np.all(mu <= POISSON_MAX):
-        raise ValueError(f"g0 (with the other parameters) gives a bin mean that is not finite "
-                         f"or above {POISSON_MAX:.4g}, the largest Poisson mean numpy draws")
+        raise ValueError(f"the model gives a bin mean that is not finite or above "
+                         f"{POISSON_MAX:.4g}, the largest Poisson mean numpy draws")
     counts = np.random.default_rng(seed).poisson(mu)
     return CoincidenceHistogram(bin_width, t_lo, counts.astype(float))
 
@@ -330,15 +329,19 @@ _TINY = np.finfo(float).tiny  # a smaller (subnormal) mean counts as 0
 
 
 def _scaled_svd(weighted: np.ndarray):
-    """Column norms, singular values and V^T of the Jacobi-scaled weighted Jacobian."""
+    """Column norms, singular values and V^T of the Jacobi-scaled weighted Jacobian, from
+    the LAPACK gufunc behind np.linalg.svd (pinned by test_scaled_svd_matches_linalg_svd).
+    A failed SVD comes out as NaN and fails the rank test; callers ignore its invalid warning."""
     norms = np.sqrt(np.einsum("ij,ij->j", weighted, weighted))
-    norms[norms == 0.0] = 1.0  # a zero column gives a zero singular value
-    _, s, vt = np.linalg.svd(weighted / norms, full_matrices=False)
-    if s.size and s[-1] <= s[0] * 1e-12:
+    if np.count_nonzero(norms) < norms.size:
+        norms[norms == 0.0] = 1.0  # a zero column gives a zero singular value
+    _, s, vt = _umath_linalg.svd_s(weighted / norms, signature="d->ddd")
+    if s.size and not s[-1] > s[0] * 1e-12:
         raise FitDegenerateError("singular Jacobian: parameters not identifiable")
     return norms, s, vt
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     """Maximize sum(n ln mu - mu) over x >= lower by damped Fisher scoring.
 
@@ -346,23 +349,30 @@ def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     evaluation, and one SVD of the Jacobi-scaled J/sqrt(mu) per accepted
     point serves every Levenberg damping tried there.  Bins with mean 0 have
     weight 0; a parameter at its bound with the gradient pointing out is held.
-    Returns x, its Poisson deviance, the scaled SVD of its weighted Jacobian
-    (all columns), the steps tried, and None or why it stopped.
+    A start whose bin means or Jacobian are not finite is a ValueError, and a
+    trial whose bin means are not finite is rejected (its gain is NaN or -inf);
+    numpy's divide and invalid warnings are off for the whole fit.  Returns x,
+    its Poisson deviance, the scaled SVD of its weighted Jacobian (all columns),
+    the steps tried, and None or why it stopped.
     """
     x = np.maximum(np.asarray(x0, dtype=float), lower)
-    mu, jac = means(x)
-    seen = counts > 0.0
+    with np.errstate(over="ignore"):  # an overflow fails the check instead
+        mu, jac = means(x)
+        if not math.isfinite(mu.sum() + jac.sum()):  # a NaN or inf in either, or a sum that overflows
+            raise ValueError("the starting model has a bin mean or derivative that is not finite")
+    seen = np.flatnonzero(counts > 0.0)
     counts_seen, mu_seen = counts[seen], mu[seen]
-    if np.any(mu_seen <= 0.0):
+    if np.count_nonzero(mu_seen <= 0.0):
         raise ValueError("the starting model has a zero mean in a bin with counts")
     damping, accepted = 1e-3, True
     for steps in range(_MAX_STEPS + 1):
         if accepted:
-            inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > _TINY)
+            inv = np.divide(1.0, mu, out=np.zeros(mu.shape), where=mu > _TINY)
             weighted = np.multiply(jac, np.sqrt(inv)[:, None], order="F")  # column norms alike in any subset
             grad = jac.T @ (counts * inv - 1.0)
             free = (x > lower) | (grad > 0.0)
-            free = slice(None) if free.all() else free  # a view, not a copy
+            if np.count_nonzero(free) == free.size:
+                free = slice(None)  # a view, not a copy
             norms, s, vt = _scaled_svd(weighted[:, free])
             c = vt @ (grad[free] / norms) / s
             converged = 0.5 * (c @ c) <= _GAIN_TOL
@@ -373,13 +383,12 @@ def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
         np.maximum(trial, lower, out=trial)
         mu_trial, jac_trial = means(trial)
         mu_trial_seen = mu_trial[seen]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = counts_seen @ np.log(mu_trial_seen / mu_seen) - (mu_trial - mu).sum()
+        gain = counts_seen @ np.log(mu_trial_seen / mu_seen) - (mu_trial - mu).sum()
         accepted = gain > 0.0
         if accepted:
             x, mu, jac, mu_seen = trial, mu_trial, jac_trial, mu_trial_seen
         damping *= 0.1 if accepted else 10.0
-    deviance = 2.0 * float(np.sum(mu - counts) + counts_seen @ np.log(counts_seen / mu_seen))
+    deviance = 2.0 * float((mu - counts).sum() + counts_seen @ np.log(counts_seen / mu_seen))
     stop = None if converged else f"stopped after {steps} steps at damping {damping:.3g}"
     return x, deviance, (norms, s, vt) if isinstance(free, slice) else _scaled_svd(weighted), steps, stop
 
@@ -432,9 +441,10 @@ _LOWER = {"g0": 0.0, "tau_rise": 1e-6, "tau_decay": 1e-6, "tau_x": 1e-6, "tau_y"
 def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult:
     """Maximize the likelihood of ``hist`` over the ``free`` fields of ``model``
     (and a time offset); the other fields stay fixed."""
-    if not np.any(hist.counts > 0.0):
+    if not np.count_nonzero(hist.counts > 0.0):
         raise FitDegenerateError("histogram has no counts")
-    means, fields, values = _model_values(model)
+    with np.errstate(over="ignore"):  # a g0^2 that overflows fails _maximize's check instead
+        means, fields, values = _model_values(model)
     if "background" in free:
         # At background 0 a bin the signal leaves empty (before zero delay in
         # the beats model) has mean 0, and a count there likelihood -inf; from
@@ -446,14 +456,13 @@ def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult
     edges = hist.t_start + grid
 
     def evaluate(x):
-        v = values.copy()
-        v[index] = x[:len(index)]
-        return means(hist.t_start - x[-1] + grid if fit_offset else edges, hist.bin_width, v, names)
+        values[index] = x[:len(index)]  # the other fields stay as given
+        return means(hist.t_start - x[-1] + grid if fit_offset else edges, hist.bin_width, values, names)
 
     x0 = list(values[index]) + ([0.0] if fit_offset else [])
     lower = np.array([_LOWER[name] for name in names])
     x, chi2, (norms, s, vt), steps, stop = _maximize(hist.counts, x0, lower, evaluate)
-    sigmas = dict(zip(names, (np.sqrt(np.diag((vt.T / s**2) @ vt)) / norms).tolist()))
+    sigmas = dict(zip(names, (np.sqrt(((vt.T / s**2) @ vt).diagonal()) / norms).tolist()))
     fitted = dict(zip(free, x.tolist()))
     if isinstance(model, BeatModelParams):  # the fit ran on g0^2
         fitted["g0"] = g0 = math.sqrt(max(fitted["g0"], 1e-30))

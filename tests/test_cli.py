@@ -487,15 +487,22 @@ class TestBadFlagValues:
         (["simulate-tomo", "--path", "X", "--n", "1e300", "--out", "c.csv"], "--n"),
         (["simulate-g2", "--preset", "fig3", "--g0", "1e200", "--out", "h2.csv"], "--g0"),
         (["simulate-g2", "--preset", "fig2x", "--g0", "1e300", "--out", "h2.csv"], "--g0"),
+        (["simulate-g2", "--preset", "fig3", "--tau-x", "1e-320", "--out", "h2.csv"], "--tau-x"),
+        (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--g0", "1e200"], "--g0"),
+        (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--r", "1e200"], "--r"),
+        (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--tau-x", "1e-320"], "--tau-x"),
+        (["fit-g2", "--hist", "h.csv", "--preset", "fig2x", "--g0", "1e308"], "--g0"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
             "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
             "proj-i-zero", "simulate-preset", "fit-preset", "seed-negative", "resamples-one",
             "resamples-negative", "n-zero", "n-above-poisson-limit", "beats-g0-overflow",
-            "single-g0-above-poisson-limit"])
+            "single-g0-above-poisson-limit", "simulate-tau-x-underflow", "fit-beats-g0-overflow",
+            "fit-r-overflow", "fit-tau-x-underflow", "fit-single-g0-sum-overflow"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
         run(capsys, "simulate-g2", "--preset", "fig2x", "--seed", "1", "--out", "h.csv")
+        run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "1", "--out", "h3.csv")
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""

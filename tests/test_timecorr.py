@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings, strategies as st
 
 from biphoton import timecorr
@@ -465,6 +467,17 @@ class TestFitBeats:
             assert fit.params.background >= 0.0
             assert fit.params.g0 == pytest.approx(model.g0, rel=0.05)
 
+    @pytest.mark.parametrize("preset, field, value", [
+        ("fig3", "g0", 1e200), ("fig3", "r", 1e200), ("fig3", "tau_x", 1e-320), ("fig2x", "g0", 1e308)])
+    def test_start_model_not_finite_rejected(self, preset, field, value):
+        # g0^2, a bin mean, or the sum of the bin means is not finite; no warning either
+        p = FIGURE_PRESETS[preset]
+        hist = simulate_histogram(p.model, p.bin_width, p.t_range, seed=1)
+        start = replace(p.model, **{field: value})
+        fit = fit_single if isinstance(start, SinglePathParams) else fit_beats
+        with pytest.raises(ValueError, match="starting model has a bin mean or derivative that is not finite"):
+            fit(hist, start)
+
     def test_unknown_free_parameter_rejected(self):
         model = FIGURE_PRESETS["fig3"].model
         hist = simulate_histogram(model, 0.25, (-5.0, 30.0), seed=2)
@@ -528,6 +541,55 @@ class TestFitCovariance:
         fit = fit_beats(hist, beats)
         assert fit.params.background == 0.0
         self.assert_sigmas_at_returned_point(hist, fit, ("g0", "background"))
+
+    # _scaled_svd calls the LAPACK gufunc behind np.linalg.svd in numpy's
+    # private numpy.linalg._umath_linalg; this test pins that contract, so a
+    # numpy whose gufunc differs fails here instead of changing results.
+    def test_scaled_svd_matches_linalg_svd(self, monkeypatch):
+        def weighted(model, width, t_range, names):
+            means, _, values = _model_values(model)
+            edges = t_range[0] + width * np.arange(int(round((t_range[1] - t_range[0]) / width)) + 1)
+            mu, jac = means(edges, width, values, names)
+            return np.multiply(jac, np.sqrt(1.0 / mu)[:, None], order="F")  # as _maximize builds it
+
+        matrices = []
+        for preset in FIGURE_PRESETS.values():
+            if isinstance(preset.model, SinglePathParams):
+                free_sets = [timecorr._SINGLE_FIELDS, timecorr._SINGLE_FIELDS + ("offset",)]
+            else:
+                free_sets = [("g0", "background"), ("g0", "background", "r", "phi", "delta"),
+                             timecorr._BEAT_FIELDS + ("offset",)]
+            for names in free_sets:
+                matrices.append(weighted(preset.model, preset.bin_width, preset.t_range, names))
+        full = matrices[-1]
+        matrices.append(full[:, [True, False, True, True, False, True, True, False]])  # a subset, as copied
+        no_path = replace(FIGURE_PRESETS["fig3"].model, r=0.0)  # the phi column is zero
+        matrices.append(weighted(no_path, 0.25, (-5.0, 30.0), ("g0", "background", "phi")))
+
+        calls = []
+
+        class Spy:
+            @staticmethod
+            def svd_s(a, **kwargs):
+                calls.append((a, _umath_linalg.svd_s(a, **kwargs)))
+                return calls[-1][1]
+
+        monkeypatch.setattr(timecorr, "_umath_linalg", Spy)
+        for m in matrices[:-1]:
+            _scaled_svd(m)
+        with pytest.raises(FitDegenerateError, match="singular Jacobian"):
+            _scaled_svd(matrices[-1])
+        assert len(calls) == len(matrices)
+        for a, (_, s, vt) in calls:
+            _, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+            assert s.tobytes() == s_ref.tobytes() and vt.tobytes() == vt_ref.tobytes()
+
+        nan = full.copy(order="F")
+        nan[7, 2] = np.nan
+        with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):  # the fit's state
+            warnings.simplefilter("error")
+            with pytest.raises(FitDegenerateError, match="singular Jacobian"):
+                _scaled_svd(nan)
 
 
 class TestFitCalibration:
