@@ -222,11 +222,12 @@ def _cmd_reconstruct(args) -> int:
         stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
         payload["resampled_metrics"] = {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()}
 
+    min_eig = polstate.min_eigenvalue(rho)
     payload.update(
         {
             "rho": polstate.density_to_dict(rho),
-            "min_eigenvalue": polstate.min_eigenvalue(rho),
-            "physical": polstate.min_eigenvalue(rho) >= -1e-9,
+            "min_eigenvalue": min_eig,
+            "physical": min_eig >= -1e-9,
             "metrics": metrics,
         }
     )

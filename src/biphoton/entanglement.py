@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .polstate import LINEAR, BiphotonKet, DensityMatrix4, change_basis, matrices_change_basis
+from .polstate import LINEAR, BiphotonKet, DensityMatrix4, _born, change_basis, matrices_change_basis
 
 __all__ = [
     "concurrence",
@@ -73,10 +73,8 @@ def eof_from_concurrence(c: float) -> float:
 
 
 def _fidelities(mats: np.ndarray, basis: str, target: BiphotonKet) -> np.ndarray:
-    # One product per state: v.conj() @ mats @ v on the whole stack rounds
-    # differently in the last place.
     v = change_basis(target, basis).amplitudes
-    return np.array([min(1.0, max(0.0, float((v.conj() @ m @ v).real))) for m in mats])
+    return np.minimum(1.0, _born(mats, v[None])[..., 0])
 
 
 def indicator_arrays(mats: np.ndarray, target: BiphotonKet | None = None, basis: str = LINEAR):

@@ -55,6 +55,8 @@ _NORM_TOL = 1e-12
 # Columns are |L> and |R> expressed in (H, V) components.
 _CIRC_TO_LIN = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
 _LIN_TO_CIRC = _CIRC_TO_LIN.conj().T
+# The same rotation on both photons of a pair, keyed by the target basis.
+_PAIR_ROTATION = {LINEAR: np.kron(_CIRC_TO_LIN, _CIRC_TO_LIN), CIRCULAR: np.kron(_LIN_TO_CIRC, _LIN_TO_CIRC)}
 
 
 class DegenerateStateError(ValueError):
@@ -171,6 +173,15 @@ def min_eigenvalue(rho: DensityMatrix4) -> float:
     return float(np.linalg.eigvalsh(rho.matrix)[0])
 
 
+def _born(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities <v|rho|v> (..., n), clipped at zero, of states (..., 4, 4)
+    for kets (n, 4) in their basis.  The stacked (1, 4) @ (4, 4) @ (4, 1) products round
+    as v.conj() @ rho @ v does; a contraction such as einsum rounds differently, and a
+    shift in the last place can move a Poisson draw."""
+    bras = vectors.conj()[:, None, :]
+    return np.maximum(((bras @ mats[..., None, :, :]) @ vectors[:, :, None])[..., 0, 0].real, 0.0)
+
+
 @dataclass(frozen=True)
 class PathAmplitudes:
     """Normalized amplitudes (a0, a1) and relative phase phi0 of one decay path."""
@@ -194,20 +205,19 @@ def predict_path_state(levels: CascadeLevels) -> PathAmplitudes:
 
     The polarization channels map to helicity transfers as L <-> +1 and
     R <-> -1, so the |LR> amplitude comes from the (alpha_s, alpha_i) =
-    (+1, -1) channel and |RL> from (-1, +1).  Amplitudes are normalized over
-    all four helicity combinations (the co-rotating ones vanish identically),
-    and the relative phase is the sign of the coupling ratio: 0 if the two
-    allowed channels share a sign, pi otherwise.
+    (+1, -1) channel and |RL> from (-1, +1).  The co-rotating channels
+    (+1, +1) and (-1, -1) vanish identically (the cascade must return the
+    atom to its initial projection), so the two counter-rotating amplitudes
+    alone are normalized; the relative phase is the sign of the coupling
+    ratio: 0 if the two allowed channels share a sign, pi otherwise.
     """
     x_lr = path_coupling_x(levels, +1, -1)
     x_rl = path_coupling_x(levels, -1, +1)
-    x_ll = path_coupling_x(levels, +1, +1)
-    x_rr = path_coupling_x(levels, -1, -1)
-    norm = math.sqrt(x_lr**2 + x_rl**2 + x_ll**2 + x_rr**2)
     if x_lr == 0.0 and x_rl == 0.0:
         raise DegenerateStateError(
             "both counter-rotating channels are forbidden for these levels"
         )
+    norm = math.sqrt(x_lr**2 + x_rl**2)
     a0 = abs(x_lr) / norm
     a1 = abs(x_rl) / norm
     phi0 = math.pi if x_lr * x_rl < 0 else 0.0
@@ -222,19 +232,12 @@ def ket_from_path(path: PathAmplitudes) -> BiphotonKet:
     return BiphotonKet(amps, CIRCULAR)
 
 
-def _pair_unitary(source: str, target: str) -> np.ndarray:
-    if source == target:
-        return np.eye(4, dtype=complex)
-    u = _CIRC_TO_LIN if target == LINEAR else _LIN_TO_CIRC
-    return np.kron(u, u)
-
-
 def change_basis(ket: BiphotonKet, target: str) -> BiphotonKet:
     """Express the ket in the requested basis (unitary on both photons)."""
     _check_basis(target)
     if target == ket.basis:
         return ket
-    amps = _pair_unitary(ket.basis, target) @ ket.amplitudes
+    amps = _PAIR_ROTATION[target] @ ket.amplitudes
     return BiphotonKet(amps, target)
 
 
@@ -249,7 +252,7 @@ def matrices_change_basis(mats: np.ndarray, source: str, target: str) -> np.ndar
     """Express Hermitian matrices (..., 4, 4) given in ``source`` in ``target``, unvalidated."""
     if _check_basis(target) == _check_basis(source):
         return mats
-    u = _pair_unitary(source, target)
+    u = _PAIR_ROTATION[target]
     mats = u @ mats @ u.conj().T
     return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
 
@@ -393,7 +396,7 @@ def _p2c(pair) -> complex:
     try:
         re, im = pair if isinstance(pair, (list, tuple)) else ()
         return complex(float(re), float(im))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond the float range
         raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}") from None
 
 

@@ -341,7 +341,7 @@ def _scaled_svd(weighted: np.ndarray):
     return norms, s, vt
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     """Maximize sum(n ln mu - mu) over x >= lower by damped Fisher scoring.
 
@@ -350,16 +350,16 @@ def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     point serves every Levenberg damping tried there.  Bins with mean 0 have
     weight 0; a parameter at its bound with the gradient pointing out is held.
     A start whose bin means or Jacobian are not finite is a ValueError, and a
-    trial whose bin means are not finite is rejected (its gain is NaN or -inf);
-    numpy's divide and invalid warnings are off for the whole fit.  Returns x,
+    trial whose bin means are not finite is rejected (its gain is NaN or -inf),
+    and a gain measure that overflows reads as not converged; numpy's divide,
+    invalid and overflow warnings are off for the whole fit.  Returns x,
     its Poisson deviance, the scaled SVD of its weighted Jacobian (all columns),
     the steps tried, and None or why it stopped.
     """
     x = np.maximum(np.asarray(x0, dtype=float), lower)
-    with np.errstate(over="ignore"):  # an overflow fails the check instead
-        mu, jac = means(x)
-        if not math.isfinite(mu.sum() + jac.sum()):  # a NaN or inf in either, or a sum that overflows
-            raise ValueError("the starting model has a bin mean or derivative that is not finite")
+    mu, jac = means(x)
+    if not math.isfinite(mu.sum() + jac.sum()):  # a NaN or inf in either, or a sum that overflows
+        raise ValueError("the starting model has a bin mean or derivative that is not finite")
     seen = np.flatnonzero(counts > 0.0)
     counts_seen, mu_seen = counts[seen], mu[seen]
     if np.count_nonzero(mu_seen <= 0.0):

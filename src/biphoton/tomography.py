@@ -22,6 +22,7 @@ from .polstate import (
     BiphotonKet,
     DensityMatrix4,
     Projector,
+    _born,
     density_change_basis,
     named_projector,
 )
@@ -149,13 +150,6 @@ def _arrays(records: list[CountsRecord]) -> tuple[np.ndarray, np.ndarray, np.nda
         if not np.isfinite(np.sum(counts) + np.sum(counts / exposures)):
             raise ValueError("the summed counts or rates (counts / exposure) of the records are not finite")
     return vectors, counts, exposures
-
-
-def _born(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    # Stacked products, one per row, round as v.conj() @ matrix @ v does; a
-    # contraction such as einsum rounds differently, and a shift in the last
-    # place can move a Poisson draw.
-    return np.maximum(((vectors.conj()[:, None, :] @ matrix) @ vectors[:, :, None])[:, 0, 0].real, 0.0)
 
 
 def expected_probabilities(

@@ -40,8 +40,9 @@ BEAT_FLAGS = ("g0", "tau-x", "tau-y", "r", "phi", "delta", "background")
 
 # Ket files: JSON of any shape, kets of wrong shapes or fields, and unit kets
 # with and without a NaN or infinite component (json.dumps writes these as
-# the NaN and Infinity literals).
-JSON_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3))
+# the NaN and Infinity literals).  JSON integers may lie beyond the float range.
+JSON_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3),
+                        st.integers(-10**400, 10**400))
 JSON_VALUE = st.recursive(st.one_of(st.none(), st.booleans(), JSON_NUMBER, st.text(max_size=3)),
                           lambda inner: st.one_of(st.lists(inner, max_size=5),
                                                   st.dictionaries(st.text(max_size=3), inner, max_size=3)),
@@ -159,6 +160,7 @@ def ket_file_outcomes(capsys, counts, tmp_path, ket) -> None:
 
 @FUZZ
 @given(ket=MALFORMED_KET)
+@example(ket={"basis": "circular", "amplitudes": [[10**400, 0], [0, 0], [0, 0], [0, 0]]})
 def test_malformed_ket_file(capsys, inputs, tmp_path, ket):
     ket_file_outcomes(capsys, inputs / "c.csv", tmp_path, ket)
 

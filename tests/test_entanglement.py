@@ -15,6 +15,7 @@ from biphoton.polstate import (
     change_basis,
     density_from_ket,
 )
+from biphoton.tomography import _solve, _vectors, expected_probabilities, standard_settings
 from conftest import random_pure_ket
 
 
@@ -175,6 +176,32 @@ class TestFidelity:
     def test_basis_mismatch_handled(self, rho_x, ket_x):
         lin = change_basis(ket_x, LINEAR)
         assert bp.fidelity(rho_x, lin) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stack_matches_per_state_product_to_the_bit(self, ket_x, ket_y, rho_x):
+        # MLE bootstrap states, then pure states: one orthogonal to ket_x, one
+        # orthogonal to |VV>, and a ket normalized only to rounding, whose
+        # <psi|rho|psi> rounds above 1.
+        analyzers = standard_settings("minimal16")
+        counts = np.random.default_rng(3).poisson(1e3 * expected_probabilities(rho_x, analyzers), size=(20, 16))
+        mle, _ = _solve(_vectors(analyzers), counts.astype(float), np.ones(16))
+        a = ket_x.amplitudes
+        orthogonal = BiphotonKet(np.array([0, a[2].conjugate(), -a[1].conjugate(), 0]), CIRCULAR)
+        hh = BiphotonKet(np.array([1, 0, 0, 0], dtype=complex), LINEAR)
+        vv = BiphotonKet(np.array([0, 0, 0, 1], dtype=complex), LINEAR)
+        overlong = BiphotonKet(np.array([1.0000000000000004, 0, 0, 0], dtype=complex), LINEAR)
+        pure = [density_from_ket(change_basis(k, LINEAR)).matrix for k in (orthogonal, hh, overlong)]
+        mats = np.concatenate([mle, pure])
+        for target in (ket_x, ket_y, change_basis(ket_x, LINEAR), vv, overlong):
+            v = change_basis(target, LINEAR).amplitudes
+            per_state = np.array([min(1.0, max(0.0, float((v.conj() @ m @ v).real))) for m in mats])
+            stacked = bp.entanglement.indicator_arrays(mats, target)["fidelity"]
+            assert stacked.tobytes() == per_state.tobytes()
+        fidelities = [bp.entanglement.indicator_arrays(mats[-3:], target)["fidelity"][k]
+                      for k, target in enumerate((ket_x, vv, overlong))]
+        assert fidelities[0] <= 1e-30
+        assert fidelities[1] == 0.0 and not np.signbit(fidelities[1])
+        v = overlong.amplitudes
+        assert (v.conj() @ pure[2] @ v).real > 1.0 and fidelities[2] == 1.0
 
 
 class TestIndicatorArrays:

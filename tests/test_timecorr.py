@@ -478,6 +478,23 @@ class TestFitBeats:
         with pytest.raises(ValueError, match="starting model has a bin mean or derivative that is not finite"):
             fit(hist, start)
 
+    @pytest.mark.parametrize("preset", ["fig3", "fig2x"])
+    @pytest.mark.parametrize("count", [1e160, 1e200, 1e300])
+    def test_huge_bin_count_warns_nothing(self, preset, count):
+        # the gain measure overflows to inf, which reads as not converged
+        p = FIGURE_PRESETS[preset]
+        hist = simulate_histogram(p.model, p.bin_width, p.t_range, seed=1)
+        counts = hist.counts.copy()
+        counts[20] = count
+        hist = CoincidenceHistogram(hist.bin_width, hist.t_start, counts)
+        fit = fit_single if isinstance(p.model, SinglePathParams) else fit_beats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fit(hist, p.model)
+            except (FitConvergenceError, FitDegenerateError, ValueError):
+                pass
+
     def test_unknown_free_parameter_rejected(self):
         model = FIGURE_PRESETS["fig3"].model
         hist = simulate_histogram(model, 0.25, (-5.0, 30.0), seed=2)
