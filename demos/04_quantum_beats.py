@@ -20,11 +20,9 @@ proj_i = bp.Projector.normalized(0.7 + 0.57j, 0.41j)
 r, phi = bp.beat_params(ket_x, ket_y, proj_s, proj_i)
 print(f"projected beat parameters: R = {r:.4f}, phi = {phi:.4f} rad")
 
-# Solving for analyzer settings that realize a target (R, phi): the damped
-# regime suppresses the second path almost entirely.
-solved = bp.find_beat_projectors(ket_x, ket_y, 2.86e-2, math.pi)
-print(f"damped regime attainable: {solved.attainable} "
-      f"(reached R = {solved.r:.4f}, phi = {solved.phi:.4f})")
+# The damped regime of Fig. 4a suppresses the second path almost entirely.
+damped = tc.FIGURE_PRESETS["fig4a"].model
+print(f"damped regime (fig4a): R = {damped.r:.4f}, phi = {damped.phi:.4f} rad")
 
 # The interference term oscillates with the 3.76 ns beat period and decays
 # with the combined coherence time of the two paths.

@@ -21,13 +21,12 @@ _EXPORTS = {
         "PATH_X", "PATH_Y", "CascadeLevels", "path_coupling_x",
     ),
     "entanglement": (
-        "concurrence", "entanglement_of_formation", "eof_from_concurrence", "fidelity", "purity",
+        "concurrence", "entanglement_of_formation", "fidelity", "purity",
     ),
     "polstate": (
         "CIRCULAR", "LINEAR", "BiphotonKet", "DensityMatrix4", "PathAmplitudes", "Projector",
         "beat_params", "change_basis", "density_change_basis", "density_from_ket",
-        "find_beat_projectors", "joint_projection_amplitude", "ket_from_path", "named_projector",
-        "predict_path_state",
+        "ket_from_path", "named_projector", "predict_path_state",
     ),
     "timecorr": (
         "DEFAULT_DELTA", "FIGURE_PRESETS", "BeatModelParams", "CoincidenceHistogram",

@@ -388,13 +388,6 @@ def _cmd_beat_params(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_state_source(parser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--path", choices=("X", "Y"), help="predicted state of a decay path")
-    group.add_argument("--levels", help="cascade F values, e.g. 2,2,3,3")
-    group.add_argument("--ket", help="JSON file with a biphoton ket")
-
-
 def _add_model_flags(parser) -> None:
     parser.add_argument("--model", choices=("single", "beats"))
     for flag in _MODEL_FLAGS:
@@ -420,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("simulate-tomo", help="simulate tomography coincidence counts")
-    _add_state_source(p)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--path", choices=("X", "Y"), help="predicted state of a decay path")
+    group.add_argument("--levels", help="cascade F values, e.g. 2,2,3,3")
+    group.add_argument("--ket", help="JSON file with a biphoton ket")
     p.add_argument("--settings", choices=("minimal16", "overcomplete36"),
                    default="overcomplete36")
     p.add_argument("--n", type=float, default=1e5, help="mean counts per setting (default 1e5)")

@@ -18,7 +18,6 @@ from .polstate import LINEAR, BiphotonKet, DensityMatrix4, _born, change_basis, 
 __all__ = [
     "concurrence",
     "entanglement_of_formation",
-    "eof_from_concurrence",
     "fidelity",
     "indicator_arrays",
     "indicators",
@@ -65,7 +64,7 @@ def _binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def eof_from_concurrence(c: float) -> float:
+def _eof_from_concurrence(c: float) -> float:
     """Entanglement of formation as a function of concurrence."""
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"concurrence must lie in [0, 1], got {c!r}")
@@ -85,7 +84,7 @@ def indicator_arrays(mats: np.ndarray, target: BiphotonKet | None = None, basis:
     out = {
         "purity": _purities(mats),
         "concurrence": c,
-        "entanglement_of_formation": np.array([eof_from_concurrence(min(1.0, x)) for x in c]),
+        "entanglement_of_formation": np.array([_eof_from_concurrence(min(1.0, x)) for x in c]),
     }
     if target is not None:
         out["fidelity"] = _fidelities(mats, basis, target)
@@ -104,7 +103,7 @@ def concurrence(rho: DensityMatrix4) -> float:
 
 def entanglement_of_formation(rho: DensityMatrix4) -> float:
     """Entanglement of formation E in [0, 1] via the concurrence."""
-    return eof_from_concurrence(min(1.0, concurrence(rho)))
+    return _eof_from_concurrence(min(1.0, concurrence(rho)))
 
 
 def fidelity(rho: DensityMatrix4, target: BiphotonKet) -> float:

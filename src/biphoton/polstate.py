@@ -29,14 +29,11 @@ __all__ = [
     "Projector",
     "DegenerateStateError",
     "ProjectionDegeneracyError",
-    "BeatProjectorSearch",
     "beat_params",
     "change_basis",
     "density_change_basis",
     "density_from_ket",
     "density_to_dict",
-    "find_beat_projectors",
-    "joint_projection_amplitude",
     "ket_from_dict",
     "ket_from_path",
     "ket_to_dict",
@@ -263,9 +260,7 @@ def density_from_ket(ket: BiphotonKet) -> DensityMatrix4:
     return DensityMatrix4(mat, ket.basis)
 
 
-def joint_projection_amplitude(
-    ket: BiphotonKet, proj_s: Projector, proj_i: Projector
-) -> complex:
+def _joint_amplitude(ket: BiphotonKet, proj_s: Projector, proj_i: Projector) -> complex:
     """Amplitude <p_s p_i | psi> of finding the pair in the analyzed polarizations."""
     v = np.kron(proj_s.vector(ket.basis), proj_i.vector(ket.basis))
     return complex(v.conj() @ ket.amplitudes)
@@ -294,8 +289,8 @@ def beat_params(
     raises :class:`ProjectionDegeneracyError`: the reference path is fully
     suppressed and the caller must swap the roles of the two paths.
     """
-    a_x = joint_projection_amplitude(ket_x, proj_s, proj_i)
-    a_y = joint_projection_amplitude(ket_y, proj_s, proj_i)
+    a_x = _joint_amplitude(ket_x, proj_s, proj_i)
+    a_y = _joint_amplitude(ket_y, proj_s, proj_i)
     if abs(a_y) <= 1e-14:
         return 0.0, 0.0
     if abs(a_x) <= 1e-14:
@@ -304,84 +299,6 @@ def beat_params(
         )
     ratio = a_y / a_x
     return abs(ratio), _wrap_phase(cmath.phase(ratio))
-
-
-@dataclass(frozen=True)
-class BeatProjectorSearch:
-    """Analyzer pair solved for target beat parameters, and what it reaches."""
-
-    attainable: bool
-    proj_s: Projector
-    proj_i: Projector
-    r: float
-    phi: float
-    residual: float
-
-
-# Largest residual (log-amplitude and phase combined) reported as attainable.
-_ATTAINABLE_RESIDUAL = 1e-9
-# Reference amplitudes this small are rounding noise, not a usable solution.
-_NOISE_AMPLITUDE = 1e-12
-
-
-def _beat_residual(r: float, phi: float, target_r: float, target_phi: float) -> float:
-    if target_r == 0.0:
-        return r
-    if r == 0.0:
-        return math.inf
-    return math.hypot(math.log(r / target_r), _wrap_phase(phi - target_phi))
-
-
-def find_beat_projectors(
-    ket_x: BiphotonKet, ket_y: BiphotonKet, target_r: float, target_phi: float
-) -> BeatProjectorSearch:
-    """Solve for analyzer settings that realize given beat parameters (R, phi).
-
-    With one analyzer fixed, each path amplitude is linear in the other:
-    A_k = <s|u_k> with u_k = M_k conj(i), M_k the linear-basis amplitude
-    matrix of ket k.  A_y / A_x = w = R e^{i phi} holds exactly when s is
-    orthogonal to u_y - w u_x.  Each of H, V, D, A, L, R is tried as the
-    fixed idler and, on the transposed problem, as the fixed signal
-    analyzer; the pair with the largest reference amplitude |A_x| wins.
-    When no pair has a usable reference amplitude (the ratio is pinned, as
-    for identical paths), the pair maximizing |A_x| is returned and the
-    target is reported unattainable unless that pinned ratio is the target.
-    """
-    if not (math.isfinite(target_r) and target_r >= 0):
-        raise ValueError("target_r must be finite and non-negative")
-    if not math.isfinite(target_phi):
-        raise ValueError("target_phi must be finite")
-    target_phi = _wrap_phase(target_phi)
-    w = cmath.rect(target_r, target_phi)
-    m_x = change_basis(ket_x, LINEAR).amplitudes.reshape(2, 2)
-    m_y = change_basis(ket_y, LINEAR).amplitudes.reshape(2, 2)
-
-    names = list(_NAMED_PROJECTORS)
-    fixed = np.array(list(_NAMED_PROJECTORS.values()), dtype=complex).conj()
-    # Rows 0-5: u_k = M_k conj(idler) for each named idler; rows 6-11: the
-    # transposed problem M_k^T conj(signal), needed when u_y || u_x for every
-    # idler (product states sharing a signal factor).
-    u_x = np.concatenate([fixed @ m_x.T, fixed @ m_x])
-    v = np.concatenate([fixed @ m_y.T, fixed @ m_y]) - w * u_x
-    # The solved analyzer p has conj(p) = (v1, -v0) / |v|, so <p|v> = 0 and
-    # its reference amplitude is |A_x| = |<p|u_x>| = |v1 u0 - v0 u1| / |v|.
-    norms = np.linalg.norm(v, axis=1)
-    amps = np.abs(v[:, 1] * u_x[:, 0] - v[:, 0] * u_x[:, 1])
-    amps /= np.where(norms > 0, norms, np.inf)
-    k = int(np.argmax(amps))
-    if amps[k] > _NOISE_AMPLITUDE:
-        solved = Projector.normalized(v[k, 1].conjugate(), -v[k, 0].conjugate())
-        named = named_projector(names[k % 6])
-        proj_s, proj_i = (solved, named) if k < 6 else (named, solved)
-    else:
-        left, _, right_h = np.linalg.svd(m_x)
-        proj_s, proj_i = Projector.normalized(*left[:, 0]), Projector.normalized(*right_h[0])
-    r, phi = beat_params(ket_x, ket_y, proj_s, proj_i)
-    residual = _beat_residual(r, phi, target_r, target_phi)
-    return BeatProjectorSearch(
-        attainable=residual <= _ATTAINABLE_RESIDUAL,
-        proj_s=proj_s, proj_i=proj_i, r=r, phi=phi, residual=residual,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,9 @@ def read_histogram_csv(path) -> CoincidenceHistogram:
         counts.append(parse_float(row, "counts", lineno))
         if counts[-1] < 0:
             raise FileFormatError(lineno, "counts", "must be non-negative")
+        if counts[-1] > POISSON_MAX:
+            raise FileFormatError(lineno, "counts",
+                                  f"must be at most {POISSON_MAX:.4g}, the largest Poisson mean numpy draws")
     if len(starts) < 2:
         raise FileFormatError(rows[0][0], "bin_start_ns", "need at least 2 bins")
     widths = np.diff(starts)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
+from biphoton.entanglement import _eof_from_concurrence
 from biphoton.polstate import (
     CIRCULAR,
     LINEAR,
@@ -133,14 +134,14 @@ class TestEntanglementOfFormation:
 
     def test_published_concurrence_maps_to_published_eof(self):
         # value frozen from an independent binary-entropy evaluation
-        assert bp.eof_from_concurrence(0.913) == pytest.approx(
+        assert _eof_from_concurrence(0.913) == pytest.approx(
             0.8763715040481082, abs=1e-12
         )
-        assert bp.eof_from_concurrence(0.913) == pytest.approx(0.876, abs=5e-4)
+        assert _eof_from_concurrence(0.913) == pytest.approx(0.876, abs=5e-4)
 
     def test_monotone_in_concurrence(self):
         grid = np.linspace(0.0, 1.0, 101)
-        values = [bp.eof_from_concurrence(c) for c in grid]
+        values = [_eof_from_concurrence(c) for c in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_monotone_over_pure_state_grid(self):
@@ -154,7 +155,7 @@ class TestEntanglementOfFormation:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            bp.eof_from_concurrence(1.5)
+            _eof_from_concurrence(1.5)
 
 
 class TestFidelity:

@@ -18,13 +18,12 @@ from biphoton.polstate import (
     PathAmplitudes,
     ProjectionDegeneracyError,
     Projector,
+    _joint_amplitude,
     _wrap_phase,
     beat_params,
     change_basis,
     density_from_ket,
     density_to_dict,
-    find_beat_projectors,
-    joint_projection_amplitude,
     ket_from_dict,
     ket_from_path,
     ket_to_dict,
@@ -189,21 +188,19 @@ class TestDensityMatrixValidation:
 class TestJointProjection:
     def test_matched_circular_projectors(self):
         ket = BiphotonKet(np.array([0, 1, 0, 0], dtype=complex), CIRCULAR)
-        amp = joint_projection_amplitude(ket, named_projector("L"), named_projector("R"))
+        amp = _joint_amplitude(ket, named_projector("L"), named_projector("R"))
         assert amp == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_projector_kills_amplitude(self):
         ket = BiphotonKet(np.array([0, 1, 0, 0], dtype=complex), CIRCULAR)
         for idler in "HVDALR":
-            amp = joint_projection_amplitude(
-                ket, named_projector("R"), named_projector(idler)
-            )
+            amp = _joint_amplitude(ket, named_projector("R"), named_projector(idler))
             assert amp == pytest.approx(0.0, abs=1e-12)
 
     def test_against_four_term_dot_product_oracle(self, ket_x):
         proj_s = named_projector("L")
         proj_i = Projector.normalized(0.7 + 0.57j, 0.41j)
-        amp = joint_projection_amplitude(ket_x, proj_s, proj_i)
+        amp = _joint_amplitude(ket_x, proj_s, proj_i)
         # brute force: expand everything in the linear basis by hand
         lin = change_basis(ket_x, LINEAR).amplitudes
         ps = proj_s.vector(LINEAR)
@@ -222,8 +219,8 @@ class TestJointProjection:
             c = rng.normal(size=4) + 1j * rng.normal(size=4)
             proj_s = Projector.normalized(c[0], c[1])
             proj_i = Projector.normalized(c[2], c[3])
-            a_circ = joint_projection_amplitude(ket, proj_s, proj_i)
-            a_lin = joint_projection_amplitude(change_basis(ket, LINEAR), proj_s, proj_i)
+            a_circ = _joint_amplitude(ket, proj_s, proj_i)
+            a_lin = _joint_amplitude(change_basis(ket, LINEAR), proj_s, proj_i)
             assert a_circ == pytest.approx(a_lin, abs=1e-12)
 
 
@@ -247,8 +244,8 @@ class TestBeatParams:
         d = 1.5 * (b / a) * c
         proj_s = Projector.normalized(*(s @ np.array([a, b])))
         proj_i = Projector.normalized(*(s @ np.array([c, d])))
-        assert abs(joint_projection_amplitude(ket_x, proj_s, proj_i)) < 1e-14
-        assert abs(joint_projection_amplitude(ket_y, proj_s, proj_i)) > 0.1
+        assert abs(_joint_amplitude(ket_x, proj_s, proj_i)) < 1e-14
+        assert abs(_joint_amplitude(ket_y, proj_s, proj_i)) > 0.1
         with pytest.raises(ProjectionDegeneracyError):
             beat_params(ket_x, ket_y, proj_s, proj_i)
 
@@ -281,69 +278,6 @@ class TestBeatParams:
         wrapped = _wrap_phase(phi)
         assert -math.pi < wrapped <= math.pi
         assert wrapped == pytest.approx(folded, abs=1e-12)
-
-
-class TestBeatProjectorSearch:
-    @pytest.mark.parametrize(
-        "target_r,target_phi",
-        [(2.86e-2, math.pi), (1.43, 0.0), (0.5, math.pi)],
-    )
-    def test_published_regimes_attainable(self, ket_x, ket_y, target_r, target_phi):
-        result = find_beat_projectors(ket_x, ket_y, target_r, target_phi)
-        assert result.attainable
-        assert result.r == pytest.approx(target_r, rel=1e-3)
-        assert math.remainder(result.phi - target_phi, 2 * math.pi) == pytest.approx(
-            0.0, abs=1e-3
-        )
-
-    def test_unattainable_target_reported(self, ket_x):
-        # identical paths: the amplitude ratio is pinned to exactly 1
-        result = find_beat_projectors(ket_x, ket_x, 3.0, 0.0)
-        assert not result.attainable
-        assert result.r == pytest.approx(1.0, abs=1e-9)
-
-    def test_random_pairs_and_targets_reached_exactly(self):
-        rng = np.random.default_rng(1505)
-
-        def qubit():
-            return rng.normal(size=2) + 1j * rng.normal(size=2)
-
-        def product(signal, idler):
-            amps = np.kron(signal, idler)
-            return BiphotonKet(amps / np.linalg.norm(amps), LINEAR)
-
-        for case in range(1002):
-            kind = ("entangled", "shared signal", "shared idler")[case % 3]
-            if kind == "entangled":
-                kx, ky = random_pure_ket(rng), random_pure_ket(rng)
-            elif kind == "shared signal":
-                s = qubit()
-                kx, ky = product(s, qubit()), product(s, qubit())
-            else:
-                i = qubit()
-                kx, ky = product(qubit(), i), product(qubit(), i)
-            target_r = float(np.exp(rng.uniform(-5.0, 5.0)))
-            target_phi = float(rng.uniform(-math.pi, math.pi))
-            result = find_beat_projectors(kx, ky, target_r, target_phi)
-            assert result.attainable, (kind, target_r, target_phi, result)
-            r, phi = beat_params(kx, ky, result.proj_s, result.proj_i)
-            assert r == pytest.approx(target_r, rel=1e-9), kind
-            assert abs(math.remainder(phi - target_phi, 2 * math.pi)) < 1e-9, kind
-
-    @pytest.mark.parametrize("target_r", [0.0, 0.5, 3.0])
-    def test_identical_random_kets_pinned_to_unit_ratio(self, target_r):
-        rng = np.random.default_rng(int(10 * target_r))
-        for _ in range(20):
-            ket = random_pure_ket(rng)
-            result = find_beat_projectors(ket, ket, target_r, float(rng.uniform(-3, 3)))
-            assert not result.attainable
-            assert result.r == pytest.approx(1.0, abs=1e-12)
-        assert find_beat_projectors(ket, ket, 1.0, 0.0).attainable
-
-    @pytest.mark.parametrize("target_r,target_phi", [(-0.1, 0.0), (math.inf, 0.0), (1.0, math.nan)])
-    def test_invalid_target_rejected(self, ket_x, ket_y, target_r, target_phi):
-        with pytest.raises(ValueError):
-            find_beat_projectors(ket_x, ket_y, target_r, target_phi)
 
 
 class TestJsonInterchange:

@@ -11,7 +11,7 @@ from numpy.linalg import _umath_linalg
 from hypothesis import given, settings, strategies as st
 
 from biphoton import timecorr
-from biphoton.csvio import FileFormatError
+from biphoton.csvio import POISSON_MAX, FileFormatError
 from biphoton.timecorr import (
     DEFAULT_DELTA,
     FIGURE_PRESETS,
@@ -684,6 +684,16 @@ class TestHistogramCsv:
             read_histogram_csv(path)
         assert err.value.line == 5
         assert err.value.fieldname == "counts"
+
+    def test_count_above_poisson_max_names_line_and_field(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        path.write_text(f"# seed: 4\nbin_start_ns,counts\n0.0,5\n1.0,{POISSON_MAX!r}\n2.0,1e160\n")
+        with pytest.raises(FileFormatError, match="at most") as err:
+            read_histogram_csv(path)
+        assert err.value.line == 5
+        assert err.value.fieldname == "counts"
+        path.write_text(f"bin_start_ns,counts\n0.0,5\n1.0,{POISSON_MAX!r}\n")
+        assert read_histogram_csv(path).counts[1] == POISSON_MAX
 
     def test_nonuniform_bins_rejected(self, tmp_path):
         path = tmp_path / "hist.csv"
