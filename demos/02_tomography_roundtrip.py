@@ -24,12 +24,12 @@ records = tg.simulate_counts(rho_true, settings, n_per_setting=1e4, seed=7)
 print("first few settings:",
       ", ".join(f"{r.setting.label}={int(r.counts)}" for r in records[:6]))
 
-# Linear inversion is fast but may step slightly outside the physical
+# Linear inversion is fast and unbiased but may step outside the physical
 # state space; maximum likelihood stays positive semidefinite.
-rho_lin = tg.reconstruct_linear(records)
+mat_lin = tg.reconstruct_linear(records)
 result = tg.reconstruct_mle(records)
-print(f"\nlinear inversion min eigenvalue: {bp.polstate.min_eigenvalue(rho_lin):+.5f}")
-print(f"MLE min eigenvalue:              {bp.polstate.min_eigenvalue(result.rho):+.5f}")
+print(f"\nlinear inversion min eigenvalue: {np.linalg.eigvalsh(mat_lin)[0]:+.5f}")
+print(f"MLE min eigenvalue:              {np.linalg.eigvalsh(result.rho.matrix)[0]:+.5f}")
 print(f"MLE iterations: {result.iterations}, log-likelihood {result.log_likelihood:.1f}")
 
 print(f"\nfidelity to the predicted state: {bp.fidelity(result.rho, ket):.5f}")

@@ -196,6 +196,8 @@ def _subtract_background(records, level: float):
 
 
 def _cmd_reconstruct(args) -> int:
+    import numpy as np
+
     from . import entanglement, polstate, tomography
 
     seed = _resolve_seed(args)
@@ -209,25 +211,28 @@ def _cmd_reconstruct(args) -> int:
 
     payload: dict = {"meta": _meta(args, seed, [args.counts] + target_inputs), "method": args.method}
     if args.method == "linear":
-        rho = tomography.reconstruct_linear(records)
+        mat = tomography.reconstruct_linear(records)
     else:
         result = tomography.reconstruct_mle(records)
-        rho = result.rho
+        mat = result.rho.matrix
         payload["log_likelihood"] = result.log_likelihood
         payload["iterations"] = result.iterations
 
-    metrics = entanglement.indicators(rho, target)
+    min_eig = float(np.linalg.eigvalsh(mat)[0])
+    physical = min_eig >= -polstate.PSD_TOL
+    metrics = {name: float(v[0]) for name, v in entanglement.indicator_arrays(mat[None], target).items()}
+    if not physical:  # concurrence and EoF are defined for states only
+        metrics["concurrence"] = metrics["entanglement_of_formation"] = None
 
     if args.resamples:
         stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
         payload["resampled_metrics"] = {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()}
 
-    min_eig = polstate.min_eigenvalue(rho)
     payload.update(
         {
-            "rho": polstate.density_to_dict(rho),
+            "rho": polstate.density_to_dict(mat),
             "min_eigenvalue": min_eig,
-            "physical": min_eig >= -1e-9,
+            "physical": physical,
             "metrics": metrics,
         }
     )

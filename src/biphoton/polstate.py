@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .angmom import CascadeLevels, path_coupling_x
 __all__ = [
     "CIRCULAR",
     "LINEAR",
+    "PSD_TOL",
     "BiphotonKet",
     "DensityMatrix4",
     "PathAmplitudes",
@@ -38,7 +39,6 @@ __all__ = [
     "ket_from_path",
     "ket_to_dict",
     "matrices_change_basis",
-    "min_eigenvalue",
     "named_projector",
     "predict_path_state",
     "projector_to_dict",
@@ -48,6 +48,8 @@ CIRCULAR = "circular"
 LINEAR = "linear"
 
 _NORM_TOL = 1e-12
+# A state's eigenvalues may lie this far below zero, for rounding.
+PSD_TOL = 1e-9
 
 # Columns are |L> and |R> expressed in (H, V) components.
 _CIRC_TO_LIN = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
@@ -136,16 +138,10 @@ class BiphotonKet:
 
 @dataclass(frozen=True)
 class DensityMatrix4:
-    """Two-qubit density matrix: Hermitian, unit trace, positive within tolerance.
-
-    ``eig_floor`` is the smallest eigenvalue tolerated at validation;
-    reconstruction by linear inversion relaxes it to -1e-2 to admit
-    statistical noise, everything else uses the strict default.
-    """
+    """Two-qubit state: Hermitian, unit trace, no eigenvalue below -PSD_TOL."""
 
     matrix: np.ndarray
     basis: str = CIRCULAR
-    eig_floor: float = field(default=-1e-9, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex).reshape(4, 4)
@@ -158,16 +154,8 @@ class DensityMatrix4:
         if not trace_dev <= 1e-12:
             raise ValueError(f"trace differs from 1 by {trace_dev!r}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < self.eig_floor:
-            raise ValueError(
-                f"matrix not positive semidefinite: min eigenvalue {min_eig!r} "
-                f"below floor {self.eig_floor!r}"
-            )
-
-
-def min_eigenvalue(rho: DensityMatrix4) -> float:
-    """Smallest eigenvalue of the density matrix (negative values flag noise)."""
-    return float(np.linalg.eigvalsh(rho.matrix)[0])
+        if min_eig < -PSD_TOL:
+            raise ValueError(f"matrix not positive semidefinite: min eigenvalue {min_eig!r}")
 
 
 def _born(mats: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -242,7 +230,7 @@ def density_change_basis(rho: DensityMatrix4, target: str) -> DensityMatrix4:
     """Express the density matrix in the requested basis."""
     if _check_basis(target) == rho.basis:
         return rho
-    return DensityMatrix4(matrices_change_basis(rho.matrix, rho.basis, target), target, eig_floor=rho.eig_floor)
+    return DensityMatrix4(matrices_change_basis(rho.matrix, rho.basis, target), target)
 
 
 def matrices_change_basis(mats: np.ndarray, source: str, target: str) -> np.ndarray:
@@ -343,9 +331,10 @@ def ket_from_dict(data: dict) -> BiphotonKet:
     )
 
 
-def density_to_dict(rho: DensityMatrix4) -> dict:
+def density_to_dict(matrix: np.ndarray) -> dict:
+    """JSON object of a linear-basis matrix (4, 4): a state or a linear-inversion estimate."""
     return {
         "type": "density_matrix",
-        "basis": rho.basis,
-        "matrix": [[_c2p(z) for z in row] for row in rho.matrix],
+        "basis": LINEAR,
+        "matrix": [[_c2p(z) for z in row] for row in matrix],
     }

@@ -265,6 +265,11 @@ def _bin_means(model, t_start: float, n_bins: int, bin_width: float) -> np.ndarr
     return means(t_start + bin_width * np.arange(n_bins + 1), bin_width, values)
 
 
+# Most bins simulate_histogram draws.  The figure presets have 75 to 140; without
+# a bound a tiny bin width would overflow the bin count or exhaust memory.
+MAX_BINS = 10**6
+
+
 def simulate_histogram(
     model,
     bin_width: float,
@@ -278,7 +283,10 @@ def simulate_histogram(
         raise ValueError("t_range must be ordered")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    n_bins = int(round((t_hi - t_lo) / bin_width))
+    n_bins = (t_hi - t_lo) / bin_width
+    if not n_bins <= MAX_BINS:  # inf and NaN fail too
+        raise ValueError(f"bin_width gives {n_bins:.4g} bins over t_range, above the {MAX_BINS} supported")
+    n_bins = int(round(n_bins))
     if n_bins < 2:
         raise ValueError("t_range must cover at least 2 bins")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below instead

@@ -35,7 +35,6 @@ __all__ = [
     "MetricStats",
     "SpanError",
     "TomographyResult",
-    "UnphysicalStateError",
     "expected_probabilities",
     "expected_probability",
     "log_likelihood",
@@ -51,10 +50,6 @@ __all__ = [
 
 class SpanError(ValueError):
     """The measurement settings do not span the two-qubit operator space."""
-
-
-class UnphysicalStateError(ValueError):
-    """Linear inversion produced a matrix too far from a physical state."""
 
 
 class DegenerateCountsError(ValueError):
@@ -228,26 +223,19 @@ def _linear_estimate(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return _operators((vt.T @ (inverse[:, None] * u.T) @ rates[..., None])[..., 0])
 
 
-def reconstruct_linear(records: list[CountsRecord]) -> DensityMatrix4:
-    """Least-squares state estimate; Hermitian and unit trace by construction.
+def reconstruct_linear(records: list[CountsRecord]) -> np.ndarray:
+    """Least-squares estimate (4, 4) in the linear basis, Hermitian and unit trace.
 
-    Statistical noise can push eigenvalues slightly negative; values down to
-    -1e-2 are tolerated (inspect with :func:`biphoton.polstate.min_eigenvalue`),
-    anything lower raises :class:`UnphysicalStateError` and calls for the
-    maximum-likelihood estimator instead.
+    The estimate need not be a state: noise can push eigenvalues below zero,
+    and it is returned whatever they are.  A non-positive trace carries no
+    state and raises :class:`DegenerateCountsError`.
     """
     vectors, counts, exposures = _arrays(records)
     est = _linear_estimate(_design(vectors), counts / exposures)
     trace = float(np.trace(est).real)
     if trace <= 0.0:
-        raise UnphysicalStateError("estimated operator has non-positive trace")
-    mat = est / trace
-    min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < -1e-2:
-        raise UnphysicalStateError(
-            f"linear inversion eigenvalue {min_eig:.4g} below -1e-2; use MLE"
-        )
-    return DensityMatrix4(mat, LINEAR, eig_floor=-1e-2)
+        raise DegenerateCountsError("estimated operator has non-positive trace")
+    return est / trace
 
 
 # ---------------------------------------------------------------------------

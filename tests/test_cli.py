@@ -89,6 +89,27 @@ class TestTomographyPipeline:
         )
         assert payload["metrics"]["fidelity"] >= 0.99
 
+    @pytest.mark.parametrize("settings", ["minimal16", "overcomplete36"])
+    def test_linear_reports_unphysical_estimates(self, capsys, tmp_path, monkeypatch, settings):
+        # path X at 1e3 counts per setting: noise pushes the near-zero eigenvalues
+        # of the estimate below zero, and the estimate is reported, not refused
+        monkeypatch.chdir(tmp_path)
+        unphysical = 0
+        for seed in range(25):
+            run(capsys, "simulate-tomo", "--path", "X", "--settings", settings, "--n", "1e3",
+                "--seed", str(seed), "--out", "counts.csv")
+            payload = run_json(capsys, "reconstruct", "--counts", "counts.csv", "--method", "linear",
+                               "--target-path", "X")
+            mat = np.array([[complex(*z) for z in row] for row in payload["rho"]["matrix"]])
+            assert payload["min_eigenvalue"] == np.linalg.eigvalsh(mat)[0]
+            assert payload["physical"] is (payload["min_eigenvalue"] >= -bp.polstate.PSD_TOL)
+            metrics = payload["metrics"]
+            undefined = metrics["concurrence"] is None and metrics["entanglement_of_formation"] is None
+            assert undefined is not payload["physical"]
+            assert 0.0 <= metrics["fidelity"] <= 1.0
+            unphysical += not payload["physical"]
+        assert unphysical == 25
+
     def test_resampled_metrics(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-tomo", "--path", "X", "--n", "2000",
@@ -492,12 +513,18 @@ class TestBadFlagValues:
         (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--r", "1e200"], "--r"),
         (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--tau-x", "1e-320"], "--tau-x"),
         (["fit-g2", "--hist", "h.csv", "--preset", "fig2x", "--g0", "1e308"], "--g0"),
+        (["simulate-g2", "--preset", "fig3", "--bin-width", "1e-320", "--out", "h2.csv"], "--bin-width"),
+        (["simulate-g2", "--preset", "fig3", "--t-min=-1e308", "--t-max", "1e308", "--out", "h2.csv"],
+         "--bin-width"),
+        (["simulate-g2", "--preset", "fig3", "--bin-width", "1e-300", "--t-min", "0", "--t-max", "1",
+          "--out", "h2.csv"], "--bin-width"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
             "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
             "proj-i-zero", "simulate-preset", "fit-preset", "seed-negative", "resamples-one",
             "resamples-negative", "n-zero", "n-above-poisson-limit", "beats-g0-overflow",
             "single-g0-above-poisson-limit", "simulate-tau-x-underflow", "fit-beats-g0-overflow",
-            "fit-r-overflow", "fit-tau-x-underflow", "fit-single-g0-sum-overflow"])
+            "fit-r-overflow", "fit-tau-x-underflow", "fit-single-g0-sum-overflow",
+            "bin-count-infinite", "bin-count-infinite-range", "bin-count-above-max"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")

@@ -75,6 +75,16 @@ def test_unknown_name_is_an_attribute_error(name):
         getattr(biphoton, name)
 
 
+@pytest.mark.parametrize("module, name", [("polstate", "min_eigenvalue"), ("tomography", "UnphysicalStateError")])
+def test_removed_module_name_is_an_attribute_error(module, name):
+    import importlib
+
+    mod = importlib.import_module(f"biphoton.{module}")
+    assert name not in mod.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(mod, name)
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     """A directory with the input files of every subcommand."""

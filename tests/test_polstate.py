@@ -12,6 +12,7 @@ from biphoton.angmom import CascadeLevels
 from biphoton.polstate import (
     CIRCULAR,
     LINEAR,
+    PSD_TOL,
     BiphotonKet,
     DegenerateStateError,
     DensityMatrix4,
@@ -22,12 +23,12 @@ from biphoton.polstate import (
     _wrap_phase,
     beat_params,
     change_basis,
+    density_change_basis,
     density_from_ket,
     density_to_dict,
     ket_from_dict,
     ket_from_path,
     ket_to_dict,
-    min_eigenvalue,
     named_projector,
     predict_path_state,
     projector_to_dict,
@@ -178,11 +179,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             DensityMatrix4(np.diag([1.1, -0.1, 0, 0]).astype(complex))
 
-    def test_relaxed_floor_admits_noise(self):
-        rho = DensityMatrix4(
-            np.diag([1.005, -0.005, 0, 0]).astype(complex), eig_floor=-1e-2
-        )
-        assert min_eigenvalue(rho) == pytest.approx(-0.005)
+    def test_eigenvalue_tolerance_is_psd_tol(self):
+        DensityMatrix4(np.diag([1 + 0.5 * PSD_TOL, -0.5 * PSD_TOL, 0, 0]).astype(complex))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DensityMatrix4(np.diag([1 + 2 * PSD_TOL, -2 * PSD_TOL, 0, 0]).astype(complex))
 
 
 class TestJointProjection:
@@ -224,7 +224,25 @@ class TestJointProjection:
             assert a_circ == pytest.approx(a_lin, abs=1e-12)
 
 
+# One analyzer pair per beat preset: an elliptical signal analyzer (H, V components)
+# and a named idler, found by solving A_y / A_x = r e^{i phi} for the predicted kets.
+PRESET_ANALYZERS = {
+    "fig3": ((-6.657420543908004e-17 + 0.09142755332923407j, -0.9958117304451831 - 6.657420543908004e-17j), "H"),
+    "fig4a": ((3.867572632392712e-17 - 0.9340345618316648j, -0.3571826385813428 + 3.5992739720405484e-17j), "H"),
+    "fig4b": ((-8.553173404763018e-17 + 0.587920526122615j, -0.8089186949030832 - 8.553173404763018e-17j), "H"),
+    "fig4c": ((0.13376783625861347 - 0.6943386536717431j, -0.13376783625861335 - 0.694338653671743j), "D"),
+}
+
+
 class TestBeatParams:
+    @pytest.mark.parametrize("preset", sorted(PRESET_ANALYZERS))
+    def test_preset_regime_from_predicted_kets(self, ket_x, ket_y, preset):
+        signal, idler = PRESET_ANALYZERS[preset]
+        model = bp.FIGURE_PRESETS[preset].model
+        r, phi = beat_params(ket_x, ket_y, Projector(*signal), named_projector(idler))
+        assert r == pytest.approx(model.r, abs=1e-12)
+        assert math.remainder(phi - model.phi, 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
+
     def test_suppressed_second_path_convention(self, ket_x):
         ket_y = BiphotonKet(np.array([0, 0, 0, 1], dtype=complex), CIRCULAR)  # |RR>
         r, phi = beat_params(ket_x, ket_y, named_projector("L"), named_projector("R"))
@@ -296,10 +314,11 @@ class TestJsonInterchange:
         assert back.c_v == pytest.approx(proj.c_v)
 
     def test_density_round_trip(self, rho_x):
-        data = density_to_dict(rho_x)
+        linear = density_change_basis(rho_x, LINEAR)
+        data = density_to_dict(linear.matrix)
         back = DensityMatrix4([[complex(re, im) for re, im in row] for row in data["matrix"]], data["basis"])
-        assert np.allclose(back.matrix, rho_x.matrix)
-        assert back.basis == rho_x.basis
+        assert np.allclose(back.matrix, linear.matrix)
+        assert back.basis == LINEAR
 
     def test_complex_numbers_are_pairs(self, ket_x):
         data = ket_to_dict(ket_x)

@@ -11,12 +11,12 @@ from hypothesis import given, settings as hypothesis_settings, strategies as st
 import biphoton as bp
 from biphoton.polstate import (
     LINEAR,
+    PSD_TOL,
     BiphotonKet,
     DensityMatrix4,
     Projector,
     density_change_basis,
     density_from_ket,
-    min_eigenvalue,
 )
 from biphoton.tomography import (
     ConvergenceError,
@@ -25,7 +25,6 @@ from biphoton.tomography import (
     FileFormatError,
     MeasurementSetting,
     SpanError,
-    UnphysicalStateError,
     _arrays,
     _ascend,
     _design,
@@ -128,7 +127,7 @@ class TestExpectedProbabilities:
                 total = sum(by_label[a + b] for a in pair_s for b in pair_i)
                 assert abs(total - 1.0) <= 1e-12
         records = [CountsRecord(s, float(p), 1.0) for s, p in zip(settings, probs)]
-        assert np.max(np.abs(reconstruct_linear(records).matrix - rho.matrix)) <= 1e-10
+        assert np.max(np.abs(reconstruct_linear(records) - rho.matrix)) <= 1e-10
 
 
 class TestSimulateCounts:
@@ -164,23 +163,32 @@ class TestSimulateCounts:
         assert [r.counts for r in a] != [r.counts for r in c]
 
 
+def min_eigenvalue(mat: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(mat)[0])
+
+
+def assert_hermitian_unit_trace(mat: np.ndarray) -> None:
+    assert mat.shape == (4, 4)
+    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+    assert abs(np.trace(mat) - 1.0) <= 1e-12
+
+
 class TestReconstructLinear:
     def test_noiseless_round_trip(self, ket_x, rho_x):
         records = exact_records(rho_x, standard_settings("overcomplete36"), 1e6)
-        rho = reconstruct_linear(records)
+        rho = DensityMatrix4(reconstruct_linear(records), LINEAR)
         assert bp.fidelity(rho, ket_x) >= 1 - 1e-6
 
     def test_maximally_mixed(self):
         rho_true = DensityMatrix4(np.eye(4, dtype=complex) / 4)
         records = exact_records(rho_true, standard_settings("overcomplete36"), 1e6)
-        rho = reconstruct_linear(records)
-        assert np.max(np.abs(rho.matrix - np.eye(4) / 4)) < 1e-6
+        assert np.max(np.abs(reconstruct_linear(records) - np.eye(4) / 4)) < 1e-6
 
     def test_duplicate_records_invariance(self, rho_x):
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e4, 5)
         once = reconstruct_linear(records)
         twice = reconstruct_linear(records + records)
-        assert np.allclose(once.matrix, twice.matrix, atol=1e-12)
+        assert np.allclose(once, twice, atol=1e-12)
 
     def test_rank_deficient_settings_raise(self, rho_x):
         settings = standard_settings("overcomplete36")[:12]
@@ -190,11 +198,11 @@ class TestReconstructLinear:
 
     def test_small_negative_eigenvalues_tolerated(self, rho_x):
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 3e4, 21)
-        rho = reconstruct_linear(records)
-        assert -1e-2 <= min_eigenvalue(rho) < 0.0
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+        mat = reconstruct_linear(records)
+        assert -1e-2 <= min_eigenvalue(mat) < -PSD_TOL
+        assert_hermitian_unit_trace(mat)
 
-    def test_grossly_unphysical_raises(self):
+    def test_grossly_unphysical_returned(self):
         # counts engineered to demand a strongly negative eigenvalue: claim
         # perfect correlations in mutually unbiased bases simultaneously
         settings = standard_settings("overcomplete36")
@@ -202,8 +210,24 @@ class TestReconstructLinear:
         for s in settings:
             hit = s.label in ("HH", "VV", "DD", "AA", "LL", "RR")
             records.append(CountsRecord(s, 1000.0 if hit else 0.0, 1.0))
-        with pytest.raises(UnphysicalStateError):
+        mat = reconstruct_linear(records)
+        assert min_eigenvalue(mat) < -1e-2
+        assert_hermitian_unit_trace(mat)
+
+    def test_zero_trace_raises(self):
+        records = [CountsRecord(s, 0.0, 1.0) for s in standard_settings("overcomplete36")]
+        with pytest.raises(DegenerateCountsError, match="non-positive trace"):
             reconstruct_linear(records)
+
+    @hypothesis_settings(max_examples=50, deadline=None)
+    @given(counts=st.lists(st.integers(0, 10**6), min_size=36, max_size=36).filter(any),
+           scale=st.floats(1e-3, 1e3))
+    def test_any_counts_give_hermitian_unit_trace_scale_free(self, counts, scale):
+        settings = standard_settings("overcomplete36")
+        mat = reconstruct_linear([CountsRecord(s, float(c), 1.0) for s, c in zip(settings, counts)])
+        assert_hermitian_unit_trace(mat)
+        scaled = reconstruct_linear([CountsRecord(s, c * scale, 1.0) for s, c in zip(settings, counts)])
+        assert np.max(np.abs(scaled - mat)) <= 1e-12
 
 
 class TestReconstructMLE:
@@ -216,9 +240,8 @@ class TestReconstructMLE:
     def test_agrees_with_linear_on_noiseless_records(self, ket_x):
         rho_true = mixed_truth(ket_x)
         records = exact_records(rho_true, standard_settings("overcomplete36"), 1e8)
-        lin = density_change_basis(reconstruct_linear(records), LINEAR)
         mle = reconstruct_mle(records)
-        assert trace_distance(lin.matrix, mle.rho.matrix) <= 1e-5
+        assert trace_distance(reconstruct_linear(records), mle.rho.matrix) <= 1e-5
 
     def test_all_zero_counts_raise(self):
         settings = standard_settings("overcomplete36")
@@ -261,7 +284,7 @@ class TestReconstructMLE:
             if sum(r.counts for r in records) == 0:
                 continue
             result = reconstruct_mle(records)
-            assert min_eigenvalue(result.rho) >= 0.0
+            assert min_eigenvalue(result.rho.matrix) >= 0.0
             assert np.trace(result.rho.matrix).real == pytest.approx(1.0, abs=1e-10)
 
     def test_states_from_parameters_have_unit_trace_and_floor(self):
@@ -395,7 +418,7 @@ class TestReconstructMLE:
             assert result.rho.matrix.tobytes() == single.rho.matrix.tobytes()
             assert result.log_likelihood == single.log_likelihood
             assert result.iterations == single.iterations
-            assert min_eigenvalue(result.rho) >= 0.0
+            assert min_eigenvalue(result.rho.matrix) >= 0.0
             assert abs(np.trace(result.rho.matrix) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
