@@ -187,12 +187,15 @@ def _subtract_background(records, level: float):
         raise ValueError(f"--subtract-background must be non-negative, got {level!r}")
     if level == 0:
         return records
-    return [
+    subtracted = [
         CountsRecord(
             rec.setting, max(0.0, rec.counts - level * rec.exposure), rec.exposure
         )
         for rec in records
     ]
+    if not any(rec.counts for rec in subtracted) and any(rec.counts for rec in records):
+        raise ValueError(f"--subtract-background {level!r} leaves no positive count in any setting")
+    return subtracted
 
 
 def _cmd_reconstruct(args) -> int:
@@ -225,7 +228,10 @@ def _cmd_reconstruct(args) -> int:
         metrics["concurrence"] = metrics["entanglement_of_formation"] = None
 
     if args.resamples:
-        stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
+        try:
+            stats = tomography.resample_uncertainties(records, args.resamples, seed, target=target)
+        except ValueError as exc:  # the point estimate has passed every other check
+            raise ValueError(f"--resamples {args.resamples}: {exc}") from None
         payload["resampled_metrics"] = {name: {"mean": st.mean, "std": st.std} for name, st in stats.items()}
 
     payload.update(

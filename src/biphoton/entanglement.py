@@ -1,10 +1,10 @@
 """Entanglement indicators for two-qubit states, on a stack of density matrices.
 
-The single-state functions call the parts of :func:`indicator_arrays` with a
-stack of one, so a state's values are the same either way.  Concurrence uses
-the spin-flip construction with the conjugation taken in the linear (H, V)
-basis; the result is basis-independent but pinning the convention keeps
-intermediate values reproducible.
+The single-state functions change a state to the linear basis once and call the
+parts of :func:`indicator_arrays` with a stack of one, so a state's values are
+the same either way.  Concurrence uses the spin-flip construction with the
+conjugation taken in the linear (H, V) basis; the result is basis-independent
+but pinning the convention keeps intermediate values reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .polstate import LINEAR, BiphotonKet, DensityMatrix4, _born, change_basis, matrices_change_basis
+from .polstate import LINEAR, BiphotonKet, DensityMatrix4, _born, change_basis, density_change_basis
 
 __all__ = [
     "concurrence",
@@ -71,23 +71,23 @@ def _eof_from_concurrence(c: float) -> float:
     return _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
 
 
-def _fidelities(mats: np.ndarray, basis: str, target: BiphotonKet) -> np.ndarray:
-    v = change_basis(target, basis).amplitudes
-    return np.minimum(1.0, _born(mats, v[None])[..., 0])
+def _fidelities(linear: np.ndarray, target: BiphotonKet) -> np.ndarray:
+    v = change_basis(target, LINEAR).amplitudes
+    return np.minimum(1.0, _born(linear, v[None])[..., 0])
 
 
-def indicator_arrays(mats: np.ndarray, target: BiphotonKet | None = None, basis: str = LINEAR):
+def indicator_arrays(linear: np.ndarray, target: BiphotonKet | None = None):
     """Purity, concurrence, entanglement of formation and, given a ``target``, fidelity
-    by name, each for every unvalidated density matrix of the stack (B, 4, 4) in
-    ``basis``; a state's values do not depend on the others in the stack."""
-    c = _concurrences(matrices_change_basis(mats, basis, LINEAR))
+    by name, each for every unvalidated linear-basis density matrix of the stack
+    (B, 4, 4); a state's values do not depend on the others in the stack."""
+    c = _concurrences(linear)
     out = {
-        "purity": _purities(mats),
+        "purity": _purities(linear),
         "concurrence": c,
         "entanglement_of_formation": np.array([_eof_from_concurrence(min(1.0, x)) for x in c]),
     }
     if target is not None:
-        out["fidelity"] = _fidelities(mats, basis, target)
+        out["fidelity"] = _fidelities(linear, target)
     return out
 
 
@@ -98,7 +98,7 @@ def purity(rho: DensityMatrix4) -> float:
 
 def concurrence(rho: DensityMatrix4) -> float:
     """Two-qubit concurrence C in [0, 1], by the spin-flip construction."""
-    return float(_concurrences(matrices_change_basis(rho.matrix[None], rho.basis, LINEAR))[0])
+    return float(_concurrences(density_change_basis(rho, LINEAR).matrix[None])[0])
 
 
 def entanglement_of_formation(rho: DensityMatrix4) -> float:
@@ -108,9 +108,10 @@ def entanglement_of_formation(rho: DensityMatrix4) -> float:
 
 def fidelity(rho: DensityMatrix4, target: BiphotonKet) -> float:
     """Pure-target fidelity <target| rho |target>, clipped into [0, 1]."""
-    return float(_fidelities(rho.matrix[None], rho.basis, target)[0])
+    return float(_fidelities(density_change_basis(rho, LINEAR).matrix[None], target)[0])
 
 
 def indicators(rho: DensityMatrix4, target: BiphotonKet | None = None) -> dict[str, float]:
     """indicator_arrays of one state, as floats."""
-    return {name: float(v[0]) for name, v in indicator_arrays(rho.matrix[None], target, rho.basis).items()}
+    linear = density_change_basis(rho, LINEAR).matrix
+    return {name: float(v[0]) for name, v in indicator_arrays(linear[None], target).items()}

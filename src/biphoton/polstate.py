@@ -28,8 +28,6 @@ __all__ = [
     "DensityMatrix4",
     "PathAmplitudes",
     "Projector",
-    "DegenerateStateError",
-    "ProjectionDegeneracyError",
     "beat_params",
     "change_basis",
     "density_change_basis",
@@ -38,7 +36,6 @@ __all__ = [
     "ket_from_dict",
     "ket_from_path",
     "ket_to_dict",
-    "matrices_change_basis",
     "named_projector",
     "predict_path_state",
     "projector_to_dict",
@@ -56,14 +53,6 @@ _CIRC_TO_LIN = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
 _LIN_TO_CIRC = _CIRC_TO_LIN.conj().T
 # The same rotation on both photons of a pair, keyed by the target basis.
 _PAIR_ROTATION = {LINEAR: np.kron(_CIRC_TO_LIN, _CIRC_TO_LIN), CIRCULAR: np.kron(_LIN_TO_CIRC, _LIN_TO_CIRC)}
-
-
-class DegenerateStateError(ValueError):
-    """Raised when every decay channel of a level set is forbidden."""
-
-
-class ProjectionDegeneracyError(ValueError):
-    """Raised when the reference path is fully suppressed by the projectors."""
 
 
 def _check_basis(basis: str) -> str:
@@ -199,7 +188,7 @@ def predict_path_state(levels: CascadeLevels) -> PathAmplitudes:
     x_lr = path_coupling_x(levels, +1, -1)
     x_rl = path_coupling_x(levels, -1, +1)
     if x_lr == 0.0 and x_rl == 0.0:
-        raise DegenerateStateError(
+        raise ValueError(
             "both counter-rotating channels are forbidden for these levels"
         )
     norm = math.sqrt(x_lr**2 + x_rl**2)
@@ -230,16 +219,9 @@ def density_change_basis(rho: DensityMatrix4, target: str) -> DensityMatrix4:
     """Express the density matrix in the requested basis."""
     if _check_basis(target) == rho.basis:
         return rho
-    return DensityMatrix4(matrices_change_basis(rho.matrix, rho.basis, target), target)
-
-
-def matrices_change_basis(mats: np.ndarray, source: str, target: str) -> np.ndarray:
-    """Express Hermitian matrices (..., 4, 4) given in ``source`` in ``target``, unvalidated."""
-    if _check_basis(target) == _check_basis(source):
-        return mats
     u = _PAIR_ROTATION[target]
-    mats = u @ mats @ u.conj().T
-    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    mat = u @ rho.matrix @ u.conj().T
+    return DensityMatrix4(0.5 * (mat + mat.conj().T), target)
 
 
 def density_from_ket(ket: BiphotonKet) -> DensityMatrix4:
@@ -274,15 +256,15 @@ def beat_params(
     and phi = arg(A_y / A_x) folded into (-pi, pi].  An amplitude counts as
     vanishing at magnitude 1e-14 or below.  A vanishing A_y gives
     the single-path convention (0, 0).  A vanishing A_x (with A_y nonzero)
-    raises :class:`ProjectionDegeneracyError`: the reference path is fully
-    suppressed and the caller must swap the roles of the two paths.
+    raises ValueError: the reference path is fully suppressed and the
+    caller must swap the roles of the two paths.
     """
     a_x = _joint_amplitude(ket_x, proj_s, proj_i)
     a_y = _joint_amplitude(ket_y, proj_s, proj_i)
     if abs(a_y) <= 1e-14:
         return 0.0, 0.0
     if abs(a_x) <= 1e-14:
-        raise ProjectionDegeneracyError(
+        raise ValueError(
             "reference path amplitude is zero for these projectors"
         )
     ratio = a_y / a_x

@@ -30,7 +30,6 @@ __all__ = [
     "CoincidenceHistogram",
     "FIGURE_PRESETS",
     "FitConvergenceError",
-    "FitDegenerateError",
     "FitResult",
     "HistogramPreset",
     "SinglePathParams",
@@ -46,10 +45,6 @@ __all__ = [
 
 #: Beat angular frequency for a 266 MHz level splitting, in rad/ns.
 DEFAULT_DELTA = 2.0 * math.pi * 0.266
-
-
-class FitDegenerateError(RuntimeError):
-    """The fit Jacobian is singular; the requested parameters are not identifiable."""
 
 
 class FitConvergenceError(RuntimeError):
@@ -345,7 +340,7 @@ def _scaled_svd(weighted: np.ndarray):
         norms[norms == 0.0] = 1.0  # a zero column gives a zero singular value
     _, s, vt = _umath_linalg.svd_s(weighted / norms, signature="d->ddd")
     if s.size and not s[-1] > s[0] * 1e-12:
-        raise FitDegenerateError("singular Jacobian: parameters not identifiable")
+        raise RuntimeError("singular Jacobian: parameters not identifiable")
     return norms, s, vt
 
 
@@ -450,7 +445,7 @@ def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult
     """Maximize the likelihood of ``hist`` over the ``free`` fields of ``model``
     (and a time offset); the other fields stay fixed."""
     if not np.count_nonzero(hist.counts > 0.0):
-        raise FitDegenerateError("histogram has no counts")
+        raise RuntimeError("histogram has no counts")
     with np.errstate(over="ignore"):  # a g0^2 that overflows fails _maximize's check instead
         means, fields, values = _model_values(model)
     if "background" in free:

@@ -30,10 +30,8 @@ from .polstate import (
 __all__ = [
     "ConvergenceError",
     "CountsRecord",
-    "DegenerateCountsError",
     "MeasurementSetting",
     "MetricStats",
-    "SpanError",
     "TomographyResult",
     "expected_probabilities",
     "expected_probability",
@@ -46,14 +44,6 @@ __all__ = [
     "standard_settings",
     "write_counts_csv",
 ]
-
-
-class SpanError(ValueError):
-    """The measurement settings do not span the two-qubit operator space."""
-
-
-class DegenerateCountsError(ValueError):
-    """The counts carry no information (e.g. all zero)."""
 
 
 class ConvergenceError(RuntimeError):
@@ -218,7 +208,7 @@ def _linear_estimate(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
     pseudo-inverse, with matrix_rank's and pinv's cutoffs."""
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if np.count_nonzero(s > s.max(initial=0.0) * max(design.shape) * np.finfo(s.dtype).eps) < 16:
-        raise SpanError("measurement settings do not span the 16-dimensional operator space")
+        raise ValueError("measurement settings do not span the 16-dimensional operator space")
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max())
     return _operators((vt.T @ (inverse[:, None] * u.T) @ rates[..., None])[..., 0])
 
@@ -228,13 +218,14 @@ def reconstruct_linear(records: list[CountsRecord]) -> np.ndarray:
 
     The estimate need not be a state: noise can push eigenvalues below zero,
     and it is returned whatever they are.  A non-positive trace carries no
-    state and raises :class:`DegenerateCountsError`.
+    state and raises ValueError, which says so when every count is zero.
     """
     vectors, counts, exposures = _arrays(records)
     est = _linear_estimate(_design(vectors), counts / exposures)
     trace = float(np.trace(est).real)
     if trace <= 0.0:
-        raise DegenerateCountsError("estimated operator has non-positive trace")
+        raise ValueError("estimated operator has non-positive trace" if counts.any()
+                         else "all settings recorded zero counts")
     return est / trace
 
 
@@ -432,7 +423,7 @@ def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray):
     stacks of one.  The first problem not converged raises ConvergenceError."""
     x0 = _mle_seed(_design(vectors), counts / exposures)
     if np.any(np.sum(counts, axis=1) <= 0):
-        raise DegenerateCountsError("all settings recorded zero counts")
+        raise ValueError("all settings recorded zero counts")
     x, iterations, damping, grad_max, converged = _ascend(x0, _quadratic_forms(vectors, exposures), counts)
     mats = _rho_from_params(x)
     failed = np.flatnonzero(~converged)
@@ -457,12 +448,6 @@ def _result(mat, counts, iterations, vectors, exposures) -> TomographyResult:
     )
 
 
-def _mle(vectors, counts, exposures) -> list[TomographyResult]:
-    """_solve, with a validated state and its profiled log-likelihood per problem."""
-    mats, iterations = _solve(vectors, counts, exposures)
-    return [_result(*problem, vectors, exposures) for problem in zip(mats, counts, iterations)]
-
-
 def reconstruct_mle(records: list[CountsRecord]) -> TomographyResult:
     """Maximum-likelihood state reconstruction, positive semidefinite by construction.
 
@@ -480,7 +465,8 @@ def reconstruct_mle(records: list[CountsRecord]) -> TomographyResult:
     damping and the gradient max-norm.
     """
     vectors, counts, exposures = _arrays(records)
-    return _mle(vectors, counts[None], exposures)[0]
+    mats, iterations = _solve(vectors, counts[None], exposures)
+    return _result(mats[0], counts, iterations[0], vectors, exposures)
 
 
 def resample_uncertainties(
@@ -497,7 +483,10 @@ def resample_uncertainties(
     solve, with the same results as one at a time, and their indicators
     are evaluated on the stack of states.  The spread over resamples estimates the
     counting-statistics uncertainty.  Fidelity is included only when a
-    ``target`` ket is supplied.
+    ``target`` ket is supplied.  A resample that draws no count in any
+    setting has no estimate and raises ValueError; it is not redrawn, which
+    would bias the bootstrap.  It happens with probability e^-N for N counts
+    in total, so the bootstrap needs more than a handful of counts.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
@@ -506,6 +495,10 @@ def resample_uncertainties(
         np.random.default_rng(child).poisson(counts)
         for child in np.random.SeedSequence(seed).spawn(n_resamples)
     ], dtype=float)
+    empty = np.flatnonzero(redrawn.sum(axis=1) <= 0)
+    if len(empty):
+        raise ValueError(f"resample {empty[0]} drew no counts in any setting: the data hold "
+                         f"{counts.sum():g} counts in total, too few to bootstrap")
     mats, _ = _solve(vectors, redrawn, exposures)
     return {
         name: MetricStats(mean=float(np.mean(values)), std=float(np.std(values, ddof=1)))

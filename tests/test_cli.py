@@ -494,6 +494,9 @@ class TestBadFlagValues:
         (["predict", "--levels", "2,2,3,1e400"], "--levels"),
         (["reconstruct", "--counts", "counts.csv", "--subtract-background", "-5"], "--subtract-background"),
         (["reconstruct", "--counts", "counts.csv", "--subtract-background", "nan"], "--subtract-background"),
+        (["reconstruct", "--counts", "counts.csv", "--subtract-background", "1e9"], "--subtract-background"),
+        (["reconstruct", "--counts", "counts.csv", "--method", "linear", "--subtract-background", "1e9"],
+         "--subtract-background"),
         (["simulate-g2", "--preset", "fig3", "--g0", "nan", "--out", "h.csv"], "--g0"),
         (["fit-g2", "--hist", "h.csv", "--model", "single", "--g0", "nan"], "--g0"),
         (["predict", "--levels", "1e300,1e300,1e300,1e300"], "--levels"),
@@ -504,6 +507,7 @@ class TestBadFlagValues:
         (["simulate-g2", "--preset", "fig3", "--seed", "-1", "--out", "h.csv"], "--seed"),
         (["reconstruct", "--counts", "counts.csv", "--resamples", "1"], "--resamples"),
         (["reconstruct", "--counts", "counts.csv", "--resamples", "-3"], "--resamples"),
+        (["reconstruct", "--counts", "one.csv", "--resamples", "20", "--seed", "1"], "--resamples"),
         (["simulate-tomo", "--path", "X", "--n", "0", "--out", "c.csv"], "--n"),
         (["simulate-tomo", "--path", "X", "--n", "1e300", "--out", "c.csv"], "--n"),
         (["simulate-g2", "--preset", "fig3", "--g0", "1e200", "--out", "h2.csv"], "--g0"),
@@ -519,15 +523,19 @@ class TestBadFlagValues:
         (["simulate-g2", "--preset", "fig3", "--bin-width", "1e-300", "--t-min", "0", "--t-max", "1",
           "--out", "h2.csv"], "--bin-width"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
+            "background-zeroes-all-mle", "background-zeroes-all-linear",
             "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
             "proj-i-zero", "simulate-preset", "fit-preset", "seed-negative", "resamples-one",
-            "resamples-negative", "n-zero", "n-above-poisson-limit", "beats-g0-overflow",
+            "resamples-negative", "resample-empty", "n-zero", "n-above-poisson-limit", "beats-g0-overflow",
             "single-g0-above-poisson-limit", "simulate-tau-x-underflow", "fit-beats-g0-overflow",
             "fit-r-overflow", "fit-tau-x-underflow", "fit-single-g0-sum-overflow",
             "bin-count-infinite", "bin-count-infinite-range", "bin-count-above-max"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
+        # one count in all: a Poisson redraw of it is empty with probability 1/e
+        records = bp.tomography.read_counts_csv("counts.csv")
+        bp.tomography.write_counts_csv([replace(r, counts=float(k == 0)) for k, r in enumerate(records)], "one.csv")
         run(capsys, "simulate-g2", "--preset", "fig2x", "--seed", "1", "--out", "h.csv")
         run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "1", "--out", "h3.csv")
         code, out, err = run(capsys, *argv)

@@ -14,6 +14,7 @@ from biphoton.polstate import (
     BiphotonKet,
     DensityMatrix4,
     change_basis,
+    density_change_basis,
     density_from_ket,
 )
 from biphoton.tomography import _solve, _vectors, expected_probabilities, standard_settings
@@ -234,3 +235,18 @@ class TestIndicatorArrays:
             assert bp.entanglement.indicators(rho, target) == {
                 name: float(v[b]) for name, v in values.items()
             }
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_circular_state_agrees_with_its_linear_form(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        mat = g @ g.conj().T
+        circular = DensityMatrix4(0.5 * (mat + mat.conj().T) / np.trace(mat).real, CIRCULAR)
+        linear = density_change_basis(circular, LINEAR)
+        target = random_pure_ket(rng)
+        values = bp.entanglement.indicators(circular, target)
+        for name, value in bp.entanglement.indicators(linear, target).items():
+            assert values[name] == pytest.approx(value, abs=1e-12)
+        assert bp.concurrence(circular) == pytest.approx(bp.concurrence(linear), abs=1e-12)
+        assert bp.fidelity(circular, target) == pytest.approx(bp.fidelity(linear, target), abs=1e-12)

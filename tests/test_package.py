@@ -75,7 +75,12 @@ def test_unknown_name_is_an_attribute_error(name):
         getattr(biphoton, name)
 
 
-@pytest.mark.parametrize("module, name", [("polstate", "min_eigenvalue"), ("tomography", "UnphysicalStateError")])
+@pytest.mark.parametrize("module, name", [
+    ("polstate", "min_eigenvalue"), ("tomography", "UnphysicalStateError"), ("tomography", "SpanError"),
+    ("tomography", "DegenerateCountsError"), ("polstate", "DegenerateStateError"),
+    ("polstate", "ProjectionDegeneracyError"), ("timecorr", "FitDegenerateError"),
+    ("polstate", "matrices_change_basis"),
+])
 def test_removed_module_name_is_an_attribute_error(module, name):
     import importlib
 

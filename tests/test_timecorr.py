@@ -18,7 +18,6 @@ from biphoton.timecorr import (
     BeatModelParams,
     CoincidenceHistogram,
     FitConvergenceError,
-    FitDegenerateError,
     SinglePathParams,
     _bin_means,
     _model_values,
@@ -337,13 +336,13 @@ class TestFitSingle:
         flat = CoincidenceHistogram(1.0, -20.0, rng.poisson(50.0, size=50))
         init = SinglePathParams(g0=10.0, tau_rise=2.0, tau_decay=5.0,
                                 background=40.0)
-        with pytest.raises(FitDegenerateError):
+        with pytest.raises(RuntimeError, match="singular Jacobian: parameters not identifiable"):
             fit_single(flat, init)
 
     def test_histogram_without_counts_is_degenerate(self):
         empty = CoincidenceHistogram(1.0, -20.0, np.zeros(140))
         init = SinglePathParams(g0=100.0, tau_rise=3.0, tau_decay=6.0)
-        with pytest.raises(FitDegenerateError, match="histogram has no counts"):
+        with pytest.raises(RuntimeError, match="histogram has no counts"):
             fit_single(empty, init)
 
     def test_fit_offset_recovers_shift(self):
@@ -403,7 +402,7 @@ class TestFitBeats:
         preset = FIGURE_PRESETS["fig3"]
         hist = simulate_histogram(preset.model, preset.bin_width, preset.t_range, seed=11)
         empty = CoincidenceHistogram(hist.bin_width, hist.t_start, np.zeros(hist.n_bins))
-        with pytest.raises(FitDegenerateError, match="histogram has no counts"):
+        with pytest.raises(RuntimeError, match="histogram has no counts"):
             fit_beats(empty, preset.model)
 
     def test_unlocked_delta_recovers_beat_frequency(self):
@@ -492,7 +491,7 @@ class TestFitBeats:
             warnings.simplefilter("error")
             try:
                 fit(hist, p.model)
-            except (FitConvergenceError, FitDegenerateError, ValueError):
+            except (RuntimeError, ValueError):
                 pass
 
     def test_unknown_free_parameter_rejected(self):
@@ -594,7 +593,7 @@ class TestFitCovariance:
         monkeypatch.setattr(timecorr, "_umath_linalg", Spy)
         for m in matrices[:-1]:
             _scaled_svd(m)
-        with pytest.raises(FitDegenerateError, match="singular Jacobian"):
+        with pytest.raises(RuntimeError, match="singular Jacobian"):
             _scaled_svd(matrices[-1])
         assert len(calls) == len(matrices)
         for a, (_, s, vt) in calls:
@@ -605,7 +604,7 @@ class TestFitCovariance:
         nan[7, 2] = np.nan
         with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):  # the fit's state
             warnings.simplefilter("error")
-            with pytest.raises(FitDegenerateError, match="singular Jacobian"):
+            with pytest.raises(RuntimeError, match="singular Jacobian"):
                 _scaled_svd(nan)
 
 
