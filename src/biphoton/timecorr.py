@@ -312,7 +312,7 @@ class FitResult:
     def to_dict(self) -> dict:
         names = [f.name for f in self.params.__dataclass_fields__.values()]
         params = {name: getattr(self.params, name) for name in names}
-        if self.offset:
+        if "offset" in self.sigmas:  # fitted, even to exactly 0.0
             params["offset"] = self.offset
         sigmas = {k: (v if math.isfinite(v) else None) for k, v in self.sigmas.items()}
         return {

@@ -176,41 +176,18 @@ def simulate_counts(
 # ---------------------------------------------------------------------------
 # Linear inversion
 
-# Operator basis: E_aa for a = 0..3, then E_ab + E_ba and i(E_ba - E_ab) for
-# each pair a < b in this order.
-_PAIRS = np.triu_indices(4, 1)
-_DIAG = np.arange(4)
-
-
-def _design(vectors: np.ndarray) -> np.ndarray:
-    """<v|B|v> for every analyzer ket v (rows) and basis operator B (columns)."""
-    a, b = _PAIRS
-    cross = vectors[:, a].conj() * vectors[:, b]
-    design = np.empty((len(vectors), 16))
-    design[:, :4] = vectors.real**2 + vectors.imag**2
-    design[:, 4::2] = 2.0 * cross.real
-    design[:, 5::2] = 2.0 * cross.imag
-    return design
-
-
-def _operators(coeffs: np.ndarray) -> np.ndarray:
-    """Hermitian operators (..., 4, 4) from their basis coefficients (..., 16)."""
-    est = np.zeros(coeffs.shape[:-1] + (4, 4), dtype=complex)
-    est[..., _DIAG, _DIAG] = coeffs[..., :4]
-    est[..., _PAIRS[0], _PAIRS[1]] = coeffs[..., 4::2] - 1j * coeffs[..., 5::2]
-    est[..., _PAIRS[1], _PAIRS[0]] = coeffs[..., 4::2] + 1j * coeffs[..., 5::2]
-    return 0.5 * (est + est.conj().swapaxes(-1, -2))
-
-
-def _linear_estimate(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Unnormalized least-squares operator estimates (..., 4, 4), flux times state,
-    for rates (..., n).  One SVD of the design gives its rank and its
-    pseudo-inverse, with matrix_rank's and pinv's cutoffs."""
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
+def _linear_estimate(vectors: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Unnormalized least-squares operator estimates (..., 4, 4), flux times state, for
+    analyzer kets (n, 4) and rates (..., n): the Born rule <v|X|v> = (v* (x) v) . vec X is
+    linear in the 16 entries of X, and one SVD of that (n, 16) design gives its rank and its
+    pseudo-inverse, with matrix_rank's and pinv's cutoffs; real rates give a Hermitian X."""
+    design = (vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, 16)
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
     if np.count_nonzero(s > s.max(initial=0.0) * max(design.shape) * np.finfo(s.dtype).eps) < 16:
         raise ValueError("measurement settings do not span the 16-dimensional operator space")
     inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s.max())
-    return _operators((vt.T @ (inverse[:, None] * u.T) @ rates[..., None])[..., 0])
+    est = (vh.conj().T @ (inverse[:, None] * u.conj().T) @ rates[..., None]).reshape(*rates.shape[:-1], 4, 4)
+    return 0.5 * (est + est.conj().swapaxes(-1, -2))
 
 
 def reconstruct_linear(records: list[CountsRecord]) -> np.ndarray:
@@ -221,7 +198,7 @@ def reconstruct_linear(records: list[CountsRecord]) -> np.ndarray:
     state and raises ValueError, which says so when every count is zero.
     """
     vectors, counts, exposures = _arrays(records)
-    est = _linear_estimate(_design(vectors), counts / exposures)
+    est = _linear_estimate(vectors, counts / exposures)
     trace = float(np.trace(est).real)
     if trace <= 0.0:
         raise ValueError("estimated operator has non-positive trace" if counts.any()
@@ -246,6 +223,7 @@ def reconstruct_linear(records: list[CountsRecord]) -> np.ndarray:
 # gradient is 2 sum w_k A_k x and its Hessian 2 sum w_k A_k - 4 sum (w_k / q_k)
 # (A_k x)(A_k x)^T (_likelihood).
 
+_DIAG = np.arange(4)
 _TRIL = np.tril_indices(4, -1)
 _E = np.zeros((16, 4, 4), dtype=complex)  # T = sum_j x_j E_j
 _E[_DIAG, _DIAG, _DIAG] = 1.0
@@ -299,12 +277,18 @@ def _profiled_ll(weights: np.ndarray, seen: np.ndarray, q: np.ndarray) -> np.nda
     return (weights * np.log(q, out=np.zeros(q.shape), where=seen)).sum(axis=-1)
 
 
+def _unit_exposures(exposures: np.ndarray) -> np.ndarray:
+    """The exposures times the power of two that brings the largest into [1, 2): an exact
+    change of unit, which the MLE does not depend on, that keeps e . p and 1 / (e . p) finite."""
+    return np.ldexp(exposures, 1 - np.frexp(exposures.max(initial=0.0))[1])
+
+
 def _quadratic_forms(vectors: np.ndarray, exposures: np.ndarray) -> np.ndarray:
-    """A_k of the analyzer kets (n, 4), then S = sum_k e_k A_k: (n + 1, 16, 16)."""
+    """A_k of the analyzer kets (n, 4), then S = sum_k e_k A_k in unit exposures: (n + 1, 16, 16)."""
     m = (_E @ vectors.T).transpose(2, 1, 0)  # (n, 4, 16): column j of M_k is E_j v_k
     a = (m.conj().swapaxes(1, 2) @ m).real
     a = 0.5 * (a + a.swapaxes(1, 2))
-    return np.concatenate([a, np.tensordot(exposures, a, axes=1)[None]])
+    return np.concatenate([a, np.tensordot(_unit_exposures(exposures), a, axes=1)[None]])
 
 
 def _likelihood(x, rows, flat, weights, seen):
@@ -334,7 +318,7 @@ def _positive_definite(systems: np.ndarray) -> np.ndarray:
     return _umath_linalg.cholesky_lo(systems, signature="d->d")[:, 0, -1] == 0.0
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _ascend(x: np.ndarray, forms: np.ndarray, counts: np.ndarray):
     """Damped Newton ascent of every problem in the stack.  Returns the final
     parameters, iteration counts, damping, gradient max-norm and a converged
@@ -385,11 +369,12 @@ def _ascend(x: np.ndarray, forms: np.ndarray, counts: np.ndarray):
     return out_x, out_iterations, out_damping, grad_max, converged
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _state_ll(mat: np.ndarray, vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> float:
     """Poisson log-likelihood sum_k n_k ln mu_k - mu_k of the linear-basis state at
     its maximum-likelihood flux N / s, with mu_k = N e_k p_k / s and s = e . p:
-    _profiled_ll at the Born probabilities p and s plus sum_k n_k ln(N e_k) - N."""
+    _profiled_ll at the Born probabilities p and s plus sum_k n_k ln(N e_k) - N, in unit exposures."""
+    exposures = _unit_exposures(exposures)
     p = _born(mat, vectors)
     total = counts.sum()
     weights, seen = np.append(counts, -total), counts > 0
@@ -403,10 +388,10 @@ def log_likelihood(rho: DensityMatrix4, records: list[CountsRecord]) -> float:
     return _state_ll(density_change_basis(rho, LINEAR).matrix, *_arrays(records))
 
 
-def _mle_seed(design: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Starting parameters (B, 16) for the rates (B, n): the linear estimate
-    projected onto the states and mixed with 1% of I/4."""
-    est = _linear_estimate(design, rates)
+def _mle_seed(vectors: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Starting parameters (B, 16) for analyzer kets (n, 4) and rates (B, n): the
+    linear estimate projected onto the states and mixed with 1% of I/4."""
+    est = _linear_estimate(vectors, rates)
     trace = np.trace(est, axis1=1, axis2=2).real[:, None, None]
     mat = np.where(trace > 0.0, est / np.where(trace > 0.0, trace, 1.0), np.eye(4) / 4.0)
     evals, evecs = np.linalg.eigh(mat)
@@ -421,7 +406,7 @@ def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray):
     """Linear-basis MLE states (B, 4, 4) and iteration counts (B,) for analyzer kets
     (n, 4), counts (B, n) and exposures (n,), solved together with the results of
     stacks of one.  The first problem not converged raises ConvergenceError."""
-    x0 = _mle_seed(_design(vectors), counts / exposures)
+    x0 = _mle_seed(vectors, counts / exposures)
     if np.any(np.sum(counts, axis=1) <= 0):
         raise ValueError("all settings recorded zero counts")
     x, iterations, damping, grad_max, converged = _ascend(x0, _quadratic_forms(vectors, exposures), counts)

@@ -298,6 +298,18 @@ class TestG2Pipeline:
                            "--model", "single", "--fit-offset")
         assert "offset" in payload["fit"]["params"]
 
+    def test_fit_offset_reported_when_fitted_to_zero(self, capsys, tmp_path, monkeypatch):
+        # fig3's exact bin means: the fit starts at its optimum, offset 0.0 included
+        monkeypatch.chdir(tmp_path)
+        preset = bp.timecorr.FIGURE_PRESETS["fig3"]
+        t_lo, t_hi = preset.t_range
+        n_bins = int(round((t_hi - t_lo) / preset.bin_width))
+        means = bp.timecorr._bin_means(preset.model, t_lo, n_bins, preset.bin_width)
+        bp.timecorr.write_histogram_csv(bp.CoincidenceHistogram(preset.bin_width, t_lo, means), "exact.csv")
+        fit = run_json(capsys, "fit-g2", "--hist", "exact.csv", "--preset", "fig3", "--fit-offset")["fit"]
+        assert "offset" in fit["sigmas"]
+        assert fit["params"]["offset"] == 0.0
+
     def test_unlock_flags(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "11",

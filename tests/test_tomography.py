@@ -15,6 +15,7 @@ from biphoton.polstate import (
     BiphotonKet,
     DensityMatrix4,
     Projector,
+    _born,
     density_change_basis,
     density_from_ket,
 )
@@ -25,7 +26,6 @@ from biphoton.tomography import (
     MeasurementSetting,
     _arrays,
     _ascend,
-    _design,
     _likelihood,
     _linear_estimate,
     _positive_definite,
@@ -97,14 +97,14 @@ def haar_u2(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def rotated_settings(u_s: np.ndarray, u_i: np.ndarray) -> list[MeasurementSetting]:
+def rotated_settings(u_s: np.ndarray, u_i: np.ndarray, kind: str = "overcomplete36"):
     return [
         MeasurementSetting(
             Projector(*(u_s @ s.proj_s.vector(LINEAR))),
             Projector(*(u_i @ s.proj_i.vector(LINEAR))),
             s.label,
         )
-        for s in standard_settings("overcomplete36")
+        for s in standard_settings(kind)
     ]
 
 
@@ -168,6 +168,105 @@ def assert_hermitian_unit_trace(mat: np.ndarray) -> None:
     assert mat.shape == (4, 4)
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
     assert abs(np.trace(mat) - 1.0) <= 1e-12
+
+
+# Reference least squares over a basis of 16 real Hermitian operators: E_aa for
+# a = 0..3, then E_ab + E_ba and i(E_ba - E_ab) for each pair a < b.
+_PAIRS = np.triu_indices(4, 1)
+
+
+def real_design(vectors: np.ndarray) -> np.ndarray:
+    """<v|B|v> for every analyzer ket v (rows) and basis operator B (columns)."""
+    a, b = _PAIRS
+    cross = vectors[:, a].conj() * vectors[:, b]
+    design = np.empty((len(vectors), 16))
+    design[:, :4] = vectors.real**2 + vectors.imag**2
+    design[:, 4::2] = 2.0 * cross.real
+    design[:, 5::2] = 2.0 * cross.imag
+    return design
+
+
+def real_basis_estimate(vectors: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Least-squares operator (4, 4) for the rates (n,) over the real basis."""
+    a, b = _PAIRS
+    coeffs = np.linalg.pinv(real_design(vectors), rcond=1e-15) @ rates
+    est = np.diag(coeffs[:4]).astype(complex)
+    est[a, b] = coeffs[4::2] - 1j * coeffs[5::2]
+    est[b, a] = coeffs[4::2] + 1j * coeffs[5::2]
+    return est
+
+
+def random_analyzers(rng: np.random.Generator, n: int) -> list[MeasurementSetting]:
+    kets = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return [MeasurementSetting(Projector.normalized(*s), Projector.normalized(*i), f"r{k}")
+            for k, (s, i) in enumerate(kets)]
+
+
+def random_state(rng: np.random.Generator, rank: int = 4) -> np.ndarray:
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    mat = g @ g.conj().T
+    return 0.5 * (mat + mat.conj().T) / np.trace(mat).real
+
+
+class TestLinearEstimate:
+    """_linear_estimate solves the Born rule <v|X|v> = (v* (x) v) . vec X for the
+    16 entries of X; these tests tie it to the real-basis least squares it
+    replaced and to polstate._born."""
+
+    @staticmethod
+    def captured_svd(monkeypatch, vectors):
+        """The design _linear_estimate decomposes for these kets, and its SVD."""
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append((a, svd(a, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        _linear_estimate(vectors, np.ones(len(vectors)))
+        monkeypatch.undo()
+        (design, usv), = calls
+        return design, usv
+
+    @hypothesis_settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["overcomplete36", "minimal16", "random"]),
+           n_random=st.integers(16, 60))
+    def test_agrees_with_real_basis_least_squares(self, seed, kind, n_random):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            settings = random_analyzers(rng, n_random)
+        else:
+            settings = rotated_settings(haar_u2(rng), haar_u2(rng), kind)
+        vectors = _vectors(settings)
+        rates = rng.uniform(0.0, 1e3, len(vectors))
+        est = _linear_estimate(vectors, rates)
+        assert (est == est.conj().T).all()
+        reference = real_basis_estimate(vectors, rates)
+        # both round to about cond * eps; 1e-13 covers the standard sets (cond 3 and 8)
+        # and most random ones, a set of 16 random analyzers can have cond 1e4 or more
+        tol = max(1e-13, 1e-15 * np.linalg.cond(real_design(vectors)))
+        assert np.max(np.abs(est - reference)) <= tol * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("kind", ["overcomplete36", "minimal16", "random"])
+    def test_pseudo_inverse_columns_are_hermitian(self, kind, monkeypatch):
+        rng = np.random.default_rng(4)
+        settings = random_analyzers(rng, 40) if kind == "random" else standard_settings(kind)
+        vectors = _vectors(settings)
+        _, (u, s, vh) = self.captured_svd(monkeypatch, vectors)
+        columns = ((vh.conj().T / s) @ u.conj().T).T.reshape(-1, 4, 4)
+        assert np.max(np.abs(columns - columns.conj().swapaxes(1, 2))) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["overcomplete36", "minimal16", "random"])
+    def test_design_is_the_born_rule(self, kind, monkeypatch):
+        rng = np.random.default_rng(6)
+        settings = random_analyzers(rng, 30) if kind == "random" else standard_settings(kind)
+        vectors = _vectors(settings)
+        design, _ = self.captured_svd(monkeypatch, vectors)
+        assert design.shape == (len(vectors), 16)
+        for rank in (1, 2, 4):
+            rho = random_state(rng, rank)
+            assert np.max(np.abs(design @ rho.reshape(16) - _born(rho, vectors))) <= 1e-15
 
 
 class TestReconstructLinear:
@@ -300,7 +399,7 @@ class TestReconstructMLE:
             records = simulate_counts(rho_x, settings, 500, seed)
             mle = reconstruct_mle(records)
             vectors, counts, exposures = _arrays(records)
-            est = _linear_estimate(_design(vectors), counts / exposures)
+            est = _linear_estimate(vectors, counts / exposures)
             evals, evecs = np.linalg.eigh(est)
             evals = np.clip(evals, 0.0, None)
             projected = (evecs * evals) @ evecs.conj().T
@@ -554,6 +653,52 @@ class TestReconstructMLE:
                 fids.append(bp.fidelity(reconstruct_mle(records).rho, ket_x))
             means.append(np.mean(fids))
         assert all(b > a for a, b in zip(means, means[1:]))
+
+
+class TestExposureUnit:
+    """The profiled likelihood does not change when every exposure is scaled by
+    the same factor, and neither does the MLE's answer."""
+
+    @staticmethod
+    def records(seed: int) -> list[CountsRecord]:
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix4(random_state(rng), LINEAR)
+        records = simulate_counts(rho, standard_settings(("minimal16", "overcomplete36")[seed % 2]),
+                                  10 ** rng.uniform(2, 4), seed)
+        exposures = rng.uniform(0.5, 2.0, len(records))
+        return [CountsRecord(r.setting, r.counts, e) for r, e in zip(records, exposures)]
+
+    @hypothesis_settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000))
+    def test_power_of_two_units_are_bit_identical(self, seed, k):
+        records = self.records(seed)
+        base = reconstruct_mle(records)
+        scaled = reconstruct_mle([CountsRecord(r.setting, r.counts, math.ldexp(r.exposure, k))
+                                  for r in records])
+        assert scaled.rho.matrix.tobytes() == base.rho.matrix.tobytes()
+        assert scaled.log_likelihood == base.log_likelihood
+        assert scaled.iterations == base.iterations
+
+    @pytest.mark.parametrize("j", [-300, -200, -100, 100, 200, 300])
+    @pytest.mark.parametrize("unit_exposures", [True, False])
+    def test_decimal_units_agree(self, rho_x, j, unit_exposures):
+        if unit_exposures:
+            records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e3, 3)
+        else:
+            records = self.records(3)
+        base = reconstruct_mle(records)
+        scaled = reconstruct_mle([CountsRecord(r.setting, r.counts, r.exposure * 10.0**j)
+                                  for r in records])
+        assert np.max(np.abs(scaled.rho.matrix - base.rho.matrix)) <= 1e-12
+        assert scaled.log_likelihood == pytest.approx(base.log_likelihood, rel=1e-12, abs=0.0)
+
+    def test_exposures_1e308_apart_fail_to_converge_without_warnings(self, rho_x):
+        records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e3, 3)
+        records[0] = CountsRecord(records[0].setting, records[0].counts, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="MLE did not converge"):
+                reconstruct_mle(records)
 
 
 class TestLogLikelihood:
