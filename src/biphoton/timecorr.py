@@ -177,52 +177,38 @@ class CoincidenceHistogram:
         return self.bin_starts + 0.5 * self.bin_width
 
 
-def _single_means(edges, width, values, names=()):
-    """Exact bin means of the single-path model, ``values`` = (g0, tau_rise,
-    tau_decay, background), between ``edges``; with ``names`` also the Jacobian
-    by those names and ``offset`` (the model shifted to later delays)."""
-    g0, tau_rise, tau_decay, background = values.tolist()
+def _single_shape(edges, width, values, names, jac):
+    """Exact bin means of the single-path model at unit amplitude and zero background,
+    ``values`` = _SINGLE_FIELDS, between ``edges``; fills the ``jac`` columns ``names``
+    gives a shape field or ``offset`` (the model shifted to later delays), at g0."""
+    g0, tau_rise, tau_decay, _ = values.tolist()
     before, after = np.minimum(edges, 0.0), np.maximum(edges, 0.0)
     rise, fall = np.exp(before / tau_rise), np.exp(-after / tau_decay)
-    shape = (tau_rise * _diff(rise) - tau_decay * _diff(fall)) / width
-    mu = g0 * shape + background
-    if not names:
-        return mu
     scale = g0 / width
-    jac = np.empty((mu.size, len(names)))
     for i, name in enumerate(names):  # each column only when asked for
         match name:
-            case "g0": jac[:, i] = shape
             case "tau_rise": jac[:, i] = scale * _diff(rise * (1.0 - before / tau_rise))
             case "tau_decay": jac[:, i] = -scale * _diff(fall * (1.0 + after / tau_decay))
-            case "background": jac[:, i] = 1.0
             case "offset": jac[:, i] = -scale * _diff(rise * fall)
-    return mu, jac
+    return (tau_rise * _diff(rise) - tau_decay * _diff(fall)) / width
 
 
-def _beats_means(edges, width, values, names=()):
-    """As _single_means for the two-path model, ``values`` = _BEAT_FIELDS with g0^2
-    for g0 (and column ``g0`` by g0^2).  The cross term integrates as
-    Re[e^{i phi} int e^{-k t} dt] with k = 1/(2 tau_x) + 1/(2 tau_y) - i delta."""
-    g0_squared, tau_x, tau_y, r, phi, delta, background = values.tolist()
+def _beats_shape(edges, width, values, names, jac):
+    """As _single_shape for the two-path model, ``values`` = _BEAT_FIELDS with g0^2
+    for g0.  The cross term integrates as Re[e^{i phi} int e^{-k t} dt] with
+    k = 1/(2 tau_x) + 1/(2 tau_y) - i delta."""
+    g0_squared, tau_x, tau_y, r, phi, delta, _ = values.tolist()
     t = np.maximum(edges, 0.0)
     k = 0.5 / tau_x + 0.5 / tau_y - 1j * delta
     ex, ey, ek = np.exp(-t / tau_x), np.exp(-t / tau_y), np.exp(-k * t)
     turn = cmath.exp(1j * phi)
     cross = turn * _diff(ek) / -k
     dy = _diff(ey)
-    shape = (-tau_x * _diff(ex) - r * r * tau_y * dy + 2.0 * r * cross.real) / width
-    mu = g0_squared * shape + background
-    if not names:
-        return mu
     scale = g0_squared / width
     if not {"delta", "tau_x", "tau_y"}.isdisjoint(names):
         moment = turn * _diff((k * t + 1.0) * ek) / -(k * k)  # e^{i phi} int t e^{-k t} dt
-    jac = np.empty((mu.size, len(names)))
     for i, name in enumerate(names):
         match name:
-            case "g0": jac[:, i] = shape
-            case "background": jac[:, i] = 1.0
             case "r": jac[:, i] = 2.0 * scale * (cross.real - r * tau_y * dy)
             case "phi": jac[:, i] = -2.0 * r * scale * cross.imag
             case "delta": jac[:, i] = -2.0 * r * scale * moment.imag
@@ -230,6 +216,21 @@ def _beats_means(edges, width, values, names=()):
             case "tau_y": jac[:, i] = scale * r * (moment.real / tau_y**2 - r * _diff((t / tau_y + 1.0) * ey))
             case "offset": jac[:, i] = -scale * _diff(
                 np.where(edges >= 0.0, ex + r * r * ey + 2.0 * r * (turn * ek).real, 0.0))
+    return (-tau_x * _diff(ex) - r * r * tau_y * dy + 2.0 * r * cross.real) / width
+
+
+def _means(shape_of, edges, width, values, names=()):
+    """Bin means amplitude * shape + background of the model with shape routine ``shape_of``,
+    ``values`` its fields (g0 or g0^2 first, background last); with ``names`` also the Jacobian."""
+    jac = np.empty((edges.size - 1, len(names)))
+    shape = shape_of(edges, width, values, names, jac)
+    mu = values[0] * shape + values[-1]
+    if not names:
+        return mu
+    for i, name in enumerate(names):
+        match name:
+            case "g0": jac[:, i] = shape
+            case "background": jac[:, i] = 1.0
     return mu, jac
 
 
@@ -238,26 +239,24 @@ def _diff(a: np.ndarray) -> np.ndarray:
 
 
 _BEAT_FIELDS = ("g0", "tau_x", "tau_y", "r", "phi", "delta", "background")
-
-
 _SINGLE_FIELDS = ("g0", "tau_rise", "tau_decay", "background")
 
 
 def _model_values(model):
-    """The bin-means function, field names and values of a model (g0^2 for beats)."""
+    """The shape routine, field names and values of a model (g0^2 for beats)."""
     if isinstance(model, SinglePathParams):
-        return _single_means, _SINGLE_FIELDS, np.array([getattr(model, f) for f in _SINGLE_FIELDS])
+        return _single_shape, _SINGLE_FIELDS, np.array([getattr(model, f) for f in _SINGLE_FIELDS])
     if isinstance(model, BeatModelParams):
         values = np.array([getattr(model, f) for f in _BEAT_FIELDS])
         values[0] **= 2
-        return _beats_means, _BEAT_FIELDS, values
+        return _beats_shape, _BEAT_FIELDS, values
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def _bin_means(model, t_start: float, n_bins: int, bin_width: float) -> np.ndarray:
     """Expected counts per bin: the model integrated over each bin, divided by its width."""
-    means, _, values = _model_values(model)
-    return means(t_start + bin_width * np.arange(n_bins + 1), bin_width, values)
+    shape_of, _, values = _model_values(model)
+    return _means(shape_of, t_start + bin_width * np.arange(n_bins + 1), bin_width, values)
 
 
 # Most bins simulate_histogram draws.  The figure presets have 75 to 140; without
@@ -344,7 +343,6 @@ def _scaled_svd(weighted: np.ndarray):
     return norms, s, vt
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     """Maximize sum(n ln mu - mu) over x >= lower by damped Fisher scoring.
 
@@ -354,8 +352,8 @@ def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     weight 0; a parameter at its bound with the gradient pointing out is held.
     A start whose bin means or Jacobian are not finite is a ValueError, and a
     trial whose bin means are not finite is rejected (its gain is NaN or -inf),
-    and a gain measure that overflows reads as not converged; numpy's divide,
-    invalid and overflow warnings are off for the whole fit.  Returns x,
+    and a gain measure that overflows reads as not converged; the caller turns
+    numpy's divide, invalid and overflow warnings off (as _fit does).  Returns x,
     its Poisson deviance, the scaled SVD of its weighted Jacobian (all columns),
     the steps tried, and None or why it stopped.
     """
@@ -441,13 +439,16 @@ _LOWER = {"g0": 0.0, "tau_rise": 1e-6, "tau_decay": 1e-6, "tau_x": 1e-6, "tau_y"
           "r": 0.0, "phi": -math.inf, "delta": 1e-6, "background": 0.0, "offset": -math.inf}
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult:
     """Maximize the likelihood of ``hist`` over the ``free`` fields of ``model``
-    (and a time offset); the other fields stay fixed."""
+    (and a time offset); the other fields stay fixed.  With only g0 and the background
+    free the shape is evaluated once, and then the bin means cost one multiply-add.
+    numpy's divide, invalid and overflow warnings are off for the whole fit: a start
+    that is not finite (a g0^2 that overflows, say) fails _maximize's check instead."""
     if not np.count_nonzero(hist.counts > 0.0):
         raise RuntimeError("histogram has no counts")
-    with np.errstate(over="ignore"):  # a g0^2 that overflows fails _maximize's check instead
-        means, fields, values = _model_values(model)
+    shape_of, fields, values = _model_values(model)
     if "background" in free:
         # At background 0 a bin the signal leaves empty (before zero delay in
         # the beats model) has mean 0, and a count there likelihood -inf; from
@@ -457,10 +458,16 @@ def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult
     names = list(free) + (["offset"] if fit_offset else [])
     grid = hist.bin_width * np.arange(hist.n_bins + 1)
     edges = hist.t_start + grid
+    shape = None
+    if {"g0", "background"}.issuperset(names):  # the shape cannot move
+        _, jac = _means(shape_of, edges, hist.bin_width, values, names)
+        shape = jac[:, names.index("g0")]  # g0 is always free (_check_free)
 
     def evaluate(x):
         values[index] = x[:len(index)]  # the other fields stay as given
-        return means(hist.t_start - x[-1] + grid if fit_offset else edges, hist.bin_width, values, names)
+        if shape is not None:
+            return values[0] * shape + values[-1], jac
+        return _means(shape_of, hist.t_start - x[-1] + grid if fit_offset else edges, hist.bin_width, values, names)
 
     x0 = list(values[index]) + ([0.0] if fit_offset else [])
     lower = np.array([_LOWER[name] for name in names])
@@ -586,7 +593,6 @@ class HistogramPreset:
     model: SinglePathParams | BeatModelParams
     bin_width: float
     t_range: tuple[float, float]
-    description: str
 
 
 FIGURE_PRESETS: dict[str, HistogramPreset] = {
@@ -594,40 +600,34 @@ FIGURE_PRESETS: dict[str, HistogramPreset] = {
         SinglePathParams(g0=2000.0, tau_rise=3.1, tau_decay=5.6, background=10.0),
         1.0,
         (-25.0, 50.0),
-        "single decay path through the stronger intermediate level",
     ),
     "fig2y": HistogramPreset(
         SinglePathParams(g0=2000.0, tau_rise=3.3, tau_decay=13.1, background=10.0),
         1.0,
         (-25.0, 75.0),
-        "single decay path through the weaker intermediate level",
     ),
     "fig3": HistogramPreset(
         BeatModelParams(g0=20.0, tau_x=5.6, tau_y=13.1, r=1.0, phi=0.0,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,
         (-5.0, 30.0),
-        "high-contrast quantum beats with both decay paths open",
     ),
     "fig4a": HistogramPreset(
         BeatModelParams(g0=30.0, tau_x=5.6, tau_y=13.1, r=2.86e-2, phi=math.pi,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,
         (-5.0, 30.0),
-        "beats damped by suppressing the second path",
     ),
     "fig4b": HistogramPreset(
         BeatModelParams(g0=15.0, tau_x=5.6, tau_y=13.1, r=1.43, phi=0.0,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,
         (-5.0, 30.0),
-        "high-contrast beats, cosine term positive at zero delay",
     ),
     "fig4c": HistogramPreset(
         BeatModelParams(g0=25.0, tau_x=5.6, tau_y=13.1, r=0.5, phi=math.pi,
                         delta=DEFAULT_DELTA, background=5.0),
         0.25,
         (-5.0, 30.0),
-        "high-contrast beats in antiphase with the previous setting",
     ),
 }

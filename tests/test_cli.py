@@ -593,9 +593,14 @@ class TestBadFlagMessages:
          "--resamples is the MLE bootstrap and cannot be combined with --method linear"),
         (["reconstruct", "--counts", "h.csv", "--method", "linear", "--resamples", "3", "--out", "x.csv"],
          "--resamples is the MLE bootstrap and cannot be combined with --method linear"),
+        (["simulate-g2", "--model", "beats", "--out", "x.csv"],
+         "--bin-width, --t-min and --t-max are required without --preset"),
+        (["fit-g2", "--hist", "h.csv", "--model", "beats", "--tau-x", "5.6"],
+         "beats fit needs --preset or all of --tau-x, --tau-y, --r, --phi"),
     ], ids=["fit-r", "fit-background", "fit-single-tau", "fit-beats-tau", "fit-beats-r", "simulate-tau",
             "simulate-g0", "simulate-delta", "free-repeated", "free-unknown", "free-without-g0",
-            "linear-resamples-1", "linear-resamples-3"])
+            "linear-resamples-1", "linear-resamples-3", "simulate-beats-without-grid",
+            "fit-beats-without-shape"])
     def test_model_value_named_by_flag(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "1", "--out", "h.csv")

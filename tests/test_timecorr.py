@@ -4,6 +4,7 @@ import cmath
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from biphoton.timecorr import (
     FitConvergenceError,
     SinglePathParams,
     _bin_means,
+    _means,
     _model_values,
     _scaled_svd,
     estimate_single_init,
@@ -172,6 +174,15 @@ class TestCoincidenceHistogram:
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             CoincidenceHistogram(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bin_width": 0.0}, "bin_width must be positive"),
+        ({"counts": [10.0]}, "a histogram needs at least 2 bins"),
+        ({"counts": [10.0, -1.0, 10.0]}, "counts must be non-negative"),
+    ], ids=["width-zero", "one-bin", "count-negative"])
+    def test_out_of_range_value_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CoincidenceHistogram(**{"bin_width": 0.25, "t_start": -5.0, "counts": np.full(140, 10.0), **kwargs})
+
 
 class TestSimulateHistogram:
     def test_vanishing_amplitude_gives_empty_histogram(self):
@@ -205,6 +216,16 @@ class TestSimulateHistogram:
         center_vals = g2_single(centers, model)
         assert np.max(np.abs(mu - center_vals) / center_vals) > 1e-3
 
+    @pytest.mark.parametrize("model, bin_width, t_range, error, message", [
+        (FIGURE_PRESETS["fig3"].model, 0.25, (30.0, -5.0), ValueError, "t_range must be ordered"),
+        (FIGURE_PRESETS["fig3"].model, 0.0, (-5.0, 30.0), ValueError, "bin_width must be positive"),
+        (FIGURE_PRESETS["fig3"].model, 30.0, (-5.0, 30.0), ValueError, "t_range must cover at least 2 bins"),
+        (FIGURE_PRESETS["fig3"], 0.25, (-5.0, 30.0), TypeError, "unsupported model type HistogramPreset"),
+    ], ids=["range-unordered", "width-zero", "one-bin", "not-a-model"])
+    def test_bad_argument_rejected(self, model, bin_width, t_range, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            simulate_histogram(model, bin_width, t_range, seed=1)
+
 
 class TestBinMeans:
     @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
@@ -222,7 +243,8 @@ class TestBinMeans:
         BeatModelParams(g0=20.0, tau_x=5.6, tau_y=13.1, r=0.8, phi=0.7, background=5.0),
     ])
     def test_jacobian_matches_central_differences(self, model):
-        means, fields, values = _model_values(model)
+        shape_of, fields, values = _model_values(model)
+        means = partial(_means, shape_of)
         names = list(fields) + ["offset"]
         edges = -5.0 + 0.37 * np.arange(81)
         _, jac = means(edges, 0.37, values, names)
@@ -266,7 +288,8 @@ class TestBinMeans:
         BeatModelParams(g0=20.0, tau_x=5.6, tau_y=13.1, r=0.8, phi=0.7, background=5.0),
     ])
     def test_jacobian_of_any_names_is_columns_of_the_full_one(self, model, offset):
-        means, fields, values = _model_values(model)
+        shape_of, fields, values = _model_values(model)
+        means = partial(_means, shape_of)
         names = list(fields) + (["offset"] if offset else [])
         edges = -5.0 + 0.37 * np.arange(81)
         mu, full = means(edges, 0.37, values, names)
@@ -494,6 +517,42 @@ class TestFitBeats:
             except (RuntimeError, ValueError):
                 pass
 
+    @pytest.mark.parametrize("free", [("g0", "background"), ("background", "g0")])
+    @pytest.mark.parametrize("preset", ["fig3", "fig4a", "fig4b", "fig4c"])
+    def test_fixed_shape_evaluated_once_fits_as_full_model(self, monkeypatch, preset, free):
+        # with no shape field free the fit evaluates the shape once; its result must
+        # be, to the bit, that of the scoring driven by the full bin means at every step
+        p = FIGURE_PRESETS[preset]
+        hist = simulate_histogram(p.model, p.bin_width, p.t_range, seed=3)
+        shape, calls = timecorr._beats_shape, []
+
+        def spy(*args):
+            calls.append(args)
+            return shape(*args)
+
+        monkeypatch.setattr(timecorr, "_beats_shape", spy)
+        fast = fit_beats(hist, p.model, free=free)
+        assert len(calls) == 1
+
+        shape_of, fields, values = _model_values(p.model)
+        index = [fields.index(name) for name in free]
+        edges = hist.t_start + hist.bin_width * np.arange(hist.n_bins + 1)
+
+        def full(x):
+            values[index] = x
+            return _means(shape_of, edges, hist.bin_width, values, free)
+
+        maximize = timecorr._maximize
+        monkeypatch.setattr(timecorr, "_maximize", lambda counts, x0, lower, means: maximize(counts, x0, lower, full))
+        slow = fit_beats(hist, p.model, free=free)
+        assert len(calls) > 3  # the full model at every step
+        assert fast.sigmas.keys() == slow.sigmas.keys() and fast.iterations == slow.iterations
+
+        def bits(fit):
+            return np.array([*vars(fit.params).values(), *fit.sigmas.values(), fit.chi2]).tobytes()
+
+        assert bits(fast) == bits(slow)
+
     def test_unknown_free_parameter_rejected(self):
         model = FIGURE_PRESETS["fig3"].model
         hist = simulate_histogram(model, 0.25, (-5.0, 30.0), seed=2)
@@ -520,7 +579,8 @@ class TestFitCovariance:
 
     @staticmethod
     def assert_sigmas_at_returned_point(hist, fit, free):
-        means, fields, values = _model_values(fit.params)
+        shape_of, fields, values = _model_values(fit.params)
+        means = partial(_means, shape_of)
         edges = hist.t_start + hist.bin_width * np.arange(hist.n_bins + 1)
         mu, jac = means(edges, hist.bin_width, values, free)
         inv = np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > np.finfo(float).tiny)
@@ -563,7 +623,8 @@ class TestFitCovariance:
     # numpy whose gufunc differs fails here instead of changing results.
     def test_scaled_svd_matches_linalg_svd(self, monkeypatch):
         def weighted(model, width, t_range, names):
-            means, _, values = _model_values(model)
+            shape_of, _, values = _model_values(model)
+            means = partial(_means, shape_of)
             edges = t_range[0] + width * np.arange(int(round((t_range[1] - t_range[0]) / width)) + 1)
             mu, jac = means(edges, width, values, names)
             return np.multiply(jac, np.sqrt(1.0 / mu)[:, None], order="F")  # as _maximize builds it
@@ -693,6 +754,14 @@ class TestHistogramCsv:
         assert err.value.fieldname == "counts"
         path.write_text(f"bin_start_ns,counts\n0.0,5\n1.0,{POISSON_MAX!r}\n")
         assert read_histogram_csv(path).counts[1] == POISSON_MAX
+
+    def test_one_row_names_line_and_field(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        path.write_text("# seed: 4\nbin_start_ns,counts\n0.0,5\n")
+        with pytest.raises(FileFormatError, match="need at least 2 bins") as err:
+            read_histogram_csv(path)
+        assert err.value.line == 3
+        assert err.value.fieldname == "bin_start_ns"
 
     def test_nonuniform_bins_rejected(self, tmp_path):
         path = tmp_path / "hist.csv"
