@@ -58,17 +58,10 @@ def _concurrences(linear: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
 
 
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def _eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation as a function of concurrence."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c!r}")
-    return _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    """Entanglement of formation of a concurrence c in [0, 1]: the binary entropy of p in [1/2, 1]."""
+    p = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
+    return 0.0 if p >= 1.0 else -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 def _fidelities(linear: np.ndarray, target: BiphotonKet) -> np.ndarray:

@@ -120,7 +120,8 @@ class BiphotonKet:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(4)
         object.__setattr__(self, "amplitudes", amps)
         _check_basis(self.basis)
-        norm2 = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # an overflow gives inf and fails the check below
+            norm2 = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm2 - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"ket not normalized: |psi|^2 = {norm2!r}")
 
@@ -236,14 +237,6 @@ def _joint_amplitude(ket: BiphotonKet, proj_s: Projector, proj_i: Projector) -> 
     return complex(v.conj() @ ket.amplitudes)
 
 
-def _wrap_phase(phi: float) -> float:
-    """Fold an angle into (-pi, pi]."""
-    wrapped = math.remainder(phi, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
 def beat_params(
     ket_x: BiphotonKet,
     ket_y: BiphotonKet,
@@ -268,7 +261,8 @@ def beat_params(
             "reference path amplitude is zero for these projectors"
         )
     ratio = a_y / a_x
-    return abs(ratio), _wrap_phase(cmath.phase(ratio))
+    phi = cmath.phase(ratio)  # in [-pi, pi]
+    return abs(ratio), math.pi if phi == -math.pi else phi
 
 
 # ---------------------------------------------------------------------------

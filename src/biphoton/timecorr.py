@@ -157,6 +157,9 @@ class CoincidenceHistogram:
             raise ValueError("bin_width must be positive")
         if counts.size < 2:
             raise ValueError("a histogram needs at least 2 bins")
+        # Python floats: an overflow gives inf, not a numpy warning
+        if not math.isfinite(float(self.t_start) + counts.size * float(self.bin_width)):
+            raise ValueError("the last bin ends beyond the float range")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
 
@@ -172,14 +175,10 @@ class CoincidenceHistogram:
     def bin_starts(self) -> np.ndarray:
         return self.t_start + self.bin_width * np.arange(self.n_bins)
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return self.bin_starts + 0.5 * self.bin_width
-
 
 def _single_shape(edges, width, values, names, jac):
     """Exact bin means of the single-path model at unit amplitude and zero background,
-    ``values`` = _SINGLE_FIELDS, between ``edges``; fills the ``jac`` columns ``names``
+    ``values`` its fields in order, between ``edges``; fills the ``jac`` columns ``names``
     gives a shape field or ``offset`` (the model shifted to later delays), at g0."""
     g0, tau_rise, tau_decay, _ = values.tolist()
     before, after = np.minimum(edges, 0.0), np.maximum(edges, 0.0)
@@ -194,9 +193,9 @@ def _single_shape(edges, width, values, names, jac):
 
 
 def _beats_shape(edges, width, values, names, jac):
-    """As _single_shape for the two-path model, ``values`` = _BEAT_FIELDS with g0^2
-    for g0.  The cross term integrates as Re[e^{i phi} int e^{-k t} dt] with
-    k = 1/(2 tau_x) + 1/(2 tau_y) - i delta."""
+    """As _single_shape for the two-path model, with g0^2 for g0.  The cross term
+    integrates as Re[e^{i phi} int e^{-k t} dt] with k = 1/(2 tau_x) + 1/(2 tau_y) - i delta.
+    Squares are products: a Python float ``**`` raises OverflowError where a product gives inf."""
     g0_squared, tau_x, tau_y, r, phi, delta, _ = values.tolist()
     t = np.maximum(edges, 0.0)
     k = 0.5 / tau_x + 0.5 / tau_y - 1j * delta
@@ -212,8 +211,8 @@ def _beats_shape(edges, width, values, names, jac):
             case "r": jac[:, i] = 2.0 * scale * (cross.real - r * tau_y * dy)
             case "phi": jac[:, i] = -2.0 * r * scale * cross.imag
             case "delta": jac[:, i] = -2.0 * r * scale * moment.imag
-            case "tau_x": jac[:, i] = scale * (r * moment.real / tau_x**2 - _diff((t / tau_x + 1.0) * ex))
-            case "tau_y": jac[:, i] = scale * r * (moment.real / tau_y**2 - r * _diff((t / tau_y + 1.0) * ey))
+            case "tau_x": jac[:, i] = scale * (r * moment.real / (tau_x * tau_x) - _diff((t / tau_x + 1.0) * ex))
+            case "tau_y": jac[:, i] = scale * r * (moment.real / (tau_y * tau_y) - r * _diff((t / tau_y + 1.0) * ey))
             case "offset": jac[:, i] = -scale * _diff(
                 np.where(edges >= 0.0, ex + r * r * ey + 2.0 * r * (turn * ek).real, 0.0))
     return (-tau_x * _diff(ex) - r * r * tau_y * dy + 2.0 * r * cross.real) / width
@@ -238,19 +237,16 @@ def _diff(a: np.ndarray) -> np.ndarray:
     return a[1:] - a[:-1]  # np.diff(a) to the bit, without its per-call overhead
 
 
-_BEAT_FIELDS = ("g0", "tau_x", "tau_y", "r", "phi", "delta", "background")
-_SINGLE_FIELDS = ("g0", "tau_rise", "tau_decay", "background")
-
-
 def _model_values(model):
-    """The shape routine, field names and values of a model (g0^2 for beats)."""
+    """The shape routine, field names in declaration order and values of a model (g0^2 for beats)."""
+    if not isinstance(model, (SinglePathParams, BeatModelParams)):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    fields = tuple(model.__dataclass_fields__)
+    values = np.array([getattr(model, f) for f in fields])
     if isinstance(model, SinglePathParams):
-        return _single_shape, _SINGLE_FIELDS, np.array([getattr(model, f) for f in _SINGLE_FIELDS])
-    if isinstance(model, BeatModelParams):
-        values = np.array([getattr(model, f) for f in _BEAT_FIELDS])
-        values[0] **= 2
-        return _beats_shape, _BEAT_FIELDS, values
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+        return _single_shape, fields, values
+    values[0] **= 2
+    return _beats_shape, fields, values
 
 
 def _bin_means(model, t_start: float, n_bins: int, bin_width: float) -> np.ndarray:
@@ -309,8 +305,7 @@ class FitResult:
     offset: float = 0.0
 
     def to_dict(self) -> dict:
-        names = [f.name for f in self.params.__dataclass_fields__.values()]
-        params = {name: getattr(self.params, name) for name in names}
+        params = {name: getattr(self.params, name) for name in self.params.__dataclass_fields__}
         if "offset" in self.sigmas:  # fitted, even to exactly 0.0
             params["offset"] = self.offset
         sigmas = {k: (v if math.isfinite(v) else None) for k, v in self.sigmas.items()}
@@ -411,7 +406,7 @@ def _lower_decile(values: np.ndarray) -> float:
 def estimate_single_init(hist: CoincidenceHistogram) -> SinglePathParams:
     """Moment-based starting point for the single-path fit."""
     counts = hist.counts
-    centers = hist.bin_centers
+    centers = hist.bin_starts + 0.5 * hist.bin_width
     background = _lower_decile(counts)
     peak_idx = int(np.argmax(counts))
     g0 = max(float(counts[peak_idx]) - background, 1.0)
@@ -507,7 +502,7 @@ def fit_single(
     """
     if not (hist.t_start < 0.0 < hist.t_stop):
         raise ValueError("histogram must cover both sides of zero delay")
-    return _fit(hist, init, _SINGLE_FIELDS, fit_offset)
+    return _fit(hist, init, tuple(SinglePathParams.__dataclass_fields__), fit_offset)
 
 
 _BEAT_FREE_DEFAULT = ("g0", "background")
@@ -516,7 +511,7 @@ _BEAT_FREE_DEFAULT = ("g0", "background")
 def _check_free(free: tuple[str, ...]) -> None:
     """ValueError unless ``free`` names distinct beat-model fields, g0 among them."""
     for i, name in enumerate(free):
-        if name not in _BEAT_FIELDS:
+        if name not in BeatModelParams.__dataclass_fields__:
             raise ValueError(f"unknown free parameter {name!r}")
         if name in free[:i]:
             raise ValueError(f"free parameter {name!r} is named twice")
@@ -577,11 +572,15 @@ def read_histogram_csv(path) -> CoincidenceHistogram:
                                   f"must be at most {POISSON_MAX:.4g}, the largest Poisson mean numpy draws")
     if len(starts) < 2:
         raise FileFormatError(rows[0][0], "bin_start_ns", "need at least 2 bins")
-    widths = np.diff(starts)
-    uneven = np.flatnonzero(np.abs(widths - widths[0]) > 1e-9 * abs(widths[0]))
-    if uneven.size:
-        raise FileFormatError(rows[uneven[0] + 1][0], "bin_start_ns", "bins must be uniformly spaced")
-    return CoincidenceHistogram(float(widths[0]), float(starts[0]), np.array(counts))
+    width = starts[1] - starts[0]  # Python floats throughout: an overflow gives inf, not a warning
+    if not 0.0 < width < math.inf:
+        raise FileFormatError(rows[1][0], "bin_start_ns", "bin starts must increase by a finite width")
+    if not math.isfinite(starts[0] + len(starts) * width):
+        raise FileFormatError(rows[-1][0], "bin_start_ns", "the last bin ends beyond the float range")
+    for (lineno, _), before, start in zip(rows[1:], starts, starts[1:]):
+        if abs(start - before - width) > 1e-9 * width:
+            raise FileFormatError(lineno, "bin_start_ns", "bins must be uniformly spaced")
+    return CoincidenceHistogram(width, starts[0], np.array(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -471,11 +471,14 @@ def resample_uncertainties(
     ``target`` ket is supplied.  A resample that draws no count in any
     setting has no estimate and raises ValueError; it is not redrawn, which
     would bias the bootstrap.  It happens with probability e^-N for N counts
-    in total, so the bootstrap needs more than a handful of counts.
+    in total, so the bootstrap needs more than a handful of counts.  A count
+    above POISSON_MAX cannot be redrawn and raises ValueError before any draw.
     """
     if n_resamples < 2:
         raise ValueError("n_resamples must be at least 2")
     vectors, counts, exposures = _arrays(records)
+    if counts.max(initial=0.0) > POISSON_MAX:
+        raise ValueError(f"a count above {POISSON_MAX:.4g}, the largest Poisson mean numpy draws, cannot be redrawn")
     redrawn = np.array([
         np.random.default_rng(child).poisson(counts)
         for child in np.random.SeedSequence(seed).spawn(n_resamples)

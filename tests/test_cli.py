@@ -248,6 +248,46 @@ class TestTomographyPipeline:
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(ket) in err and "not normalized" in err
 
+    @pytest.mark.parametrize("command", ["simulate-tomo", "reconstruct", "beat-params"])
+    def test_overflowing_ket_file_names_file(self, capsys, tmp_path, monkeypatch, command):
+        """|psi|^2 overflows to inf: one error line, no numpy overflow warning before it."""
+        monkeypatch.chdir(tmp_path)
+        amplitudes = [[1e200, 0], [0, 0], [0, 0], [0, 0]]
+        (tmp_path / "big.json").write_text(json.dumps({"basis": "circular", "amplitudes": amplitudes}))
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
+        argv = {"simulate-tomo": ["--ket", "big.json", "--out", "c2.csv"],
+                "reconstruct": ["--counts", "counts.csv", "--target", "big.json"],
+                "beat-params": ["--ket-x", "big.json", "--proj-s", "H", "--proj-i", "H"]}[command]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out, err) == (1, "", "error: big.json: not a biphoton ket: ket not normalized: |psi|^2 = inf\n")
+
+    def test_bootstrap_names_poisson_limit(self, capsys, tmp_path, monkeypatch):
+        """Counts above POISSON_MAX cannot be redrawn; the point estimates still accept them."""
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
+        self._edit_rows(tmp_path / "counts.csv", lambda f: f[:9] + [repr(float(f[9]) * 1e300), f[10]])
+        code, out, err = run(capsys, "reconstruct", "--counts", "counts.csv", "--resamples", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: --resamples 2: a count above 9.223e+18, the largest Poisson mean numpy draws, " \
+                      "cannot be redrawn\n"
+        for method in ("mle", "linear"):
+            assert "rho" in run_json(capsys, "reconstruct", "--counts", "counts.csv", "--method", method)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:4], "line 5, field 'label': no data rows"),
+        (lambda lines: lines[:4] + [",".join(lines[4].split(",")[:9] + ["-1", "1"])] + lines[5:],
+         "line 5, field 'counts': must be non-negative"),
+        (lambda lines: lines[:4] + [",".join(lines[4].split(",")[:10] + ["0"])] + lines[5:],
+         "line 5, field 'exposure': must be positive"),
+    ], ids=["header-only", "count-negative", "exposure-zero"])
+    def test_unusable_counts_file_names_line(self, capsys, tmp_path, monkeypatch, edit, message):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-tomo", "--path", "X", "--n", "1e3", "--seed", "1", "--out", "counts.csv")
+        lines = (tmp_path / "counts.csv").read_text().splitlines()
+        assert lines[3].startswith("label,")  # three comment lines, then the header
+        (tmp_path / "counts.csv").write_text("\n".join(edit(lines)) + "\n")
+        assert run(capsys, "reconstruct", "--counts", "counts.csv") == (1, "", f"error: {message}\n")
+
 
 class TestG2Pipeline:
     def test_preset_simulation_and_fit(self, capsys, tmp_path, monkeypatch):
@@ -436,6 +476,20 @@ class TestG2Pipeline:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("starts, line, message", [
+        ("3,2,1", 3, "bin starts must increase by a finite width"),
+        ("1,1,1", 3, "bin starts must increase by a finite width"),
+        ("-1.7e308,1.7e308", 3, "bin starts must increase by a finite width"),
+        ("1.2e308,1.7e308", 3, "the last bin ends beyond the float range"),
+        ("-1e308,-0.2e308,0.6e308,1.4e308", 5, "the last bin ends beyond the float range"),
+    ], ids=["descending", "repeated", "width-overflow", "end-overflow", "end-overflow-4-bins"])
+    @pytest.mark.parametrize("model", [["--model", "single"], ["--preset", "fig3"]], ids=["single", "fig3"])
+    def test_unusable_bin_grid_names_line(self, capsys, tmp_path, monkeypatch, starts, line, message, model):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.csv").write_text("bin_start_ns,counts\n" + "".join(f"{s},5\n" for s in starts.split(",")))
+        code, out, err = run(capsys, "fit-g2", "--hist", "g.csv", *model)
+        assert (code, out, err) == (1, "", f"error: line {line}, field 'bin_start_ns': {message}\n")
+
 
 class TestBeatParamsCommand:
     def test_from_projectors(self, capsys):
@@ -512,6 +566,8 @@ class TestBadFlagValues:
         (["simulate-g2", "--preset", "fig3", "--g0", "nan", "--out", "h.csv"], "--g0"),
         (["fit-g2", "--hist", "h.csv", "--model", "single", "--g0", "nan"], "--g0"),
         (["predict", "--levels", "1e300,1e300,1e300,1e300"], "--levels"),
+        (["predict", "--levels", "2.3,2,3,3"], "--levels"),
+        (["predict", "--levels=-1,2,3,3"], "--levels"),
         (["beat-params", "--proj-s", ",,,", "--proj-i", "H"], "--proj-s"),
         (["beat-params", "--proj-s", "H", "--proj-i", "0,0,0,0"], "--proj-i"),
         (["simulate-g2", "--preset", "fig9", "--out", "h.csv"], "--preset"),
@@ -528,6 +584,10 @@ class TestBadFlagValues:
         (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--g0", "1e200"], "--g0"),
         (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--r", "1e200"], "--r"),
         (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--tau-x", "1e-320"], "--tau-x"),
+        (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--free", "g0,background,tau_x", "--tau-x", "1e200"],
+         "--tau-x"),
+        (["fit-g2", "--hist", "h3.csv", "--preset", "fig3", "--free", "g0,background,tau_y", "--tau-y", "1e200"],
+         "--tau-y"),
         (["fit-g2", "--hist", "h.csv", "--preset", "fig2x", "--g0", "1e308"], "--g0"),
         (["simulate-g2", "--preset", "fig3", "--bin-width", "1e-320", "--out", "h2.csv"], "--bin-width"),
         (["simulate-g2", "--preset", "fig3", "--t-min=-1e308", "--t-max", "1e308", "--out", "h2.csv"],
@@ -536,11 +596,13 @@ class TestBadFlagValues:
           "--out", "h2.csv"], "--bin-width"),
     ], ids=["levels-1/0", "levels-inf", "levels-1e400", "background-negative", "background-nan",
             "background-zeroes-all-mle", "background-zeroes-all-linear",
-            "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "proj-s-empty",
+            "simulate-g0-nan", "fit-g0-nan", "levels-1e300", "levels-not-half-integer", "levels-negative",
+            "proj-s-empty",
             "proj-i-zero", "simulate-preset", "fit-preset", "seed-negative", "resamples-one",
             "resamples-negative", "resample-empty", "n-zero", "n-above-poisson-limit", "beats-g0-overflow",
             "single-g0-above-poisson-limit", "simulate-tau-x-underflow", "fit-beats-g0-overflow",
-            "fit-r-overflow", "fit-tau-x-underflow", "fit-single-g0-sum-overflow",
+            "fit-r-overflow", "fit-tau-x-underflow", "fit-free-tau-x-overflow", "fit-free-tau-y-overflow",
+            "fit-single-g0-sum-overflow",
             "bin-count-infinite", "bin-count-infinite-range", "bin-count-above-max"])
     def test_rejected_with_flag_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)

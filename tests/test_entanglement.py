@@ -154,10 +154,6 @@ class TestEntanglementOfFormation:
             assert eof >= prev - 1e-12
             prev = eof
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            _eof_from_concurrence(1.5)
-
 
 class TestFidelity:
     def test_self_fidelity(self, rho_x, ket_x):

@@ -18,7 +18,6 @@ from biphoton.polstate import (
     PathAmplitudes,
     Projector,
     _joint_amplitude,
-    _wrap_phase,
     beat_params,
     change_basis,
     density_change_basis,
@@ -286,14 +285,17 @@ class TestBeatParams:
             0.0, abs=1e-12
         )
 
-    @pytest.mark.parametrize("phi, folded", [
+    @pytest.mark.parametrize("beta, folded", [
         (3 * math.pi, math.pi), (-math.pi, math.pi), (math.pi, math.pi),
         (-1.5 * math.pi, 0.5 * math.pi), (0.0, 0.0),
     ], ids=["3pi", "-pi", "pi", "-3pi/2", "0"])
-    def test_phase_folded_into_principal_range(self, phi, folded):
-        wrapped = _wrap_phase(phi)
-        assert -math.pi < wrapped <= math.pi
-        assert wrapped == pytest.approx(folded, abs=1e-12)
+    def test_phase_folded_into_principal_range(self, ket_x, beta, folded):
+        # at beta = -pi the H, H ratio is (-1, -0.0) to the bit, and cmath.phase gives exactly -pi
+        ket_y = BiphotonKet(cmath.exp(1j * beta) * ket_x.amplitudes, CIRCULAR)
+        r, phi = beat_params(ket_x, ket_y, named_projector("H"), named_projector("H"))
+        assert r == pytest.approx(1.0, abs=1e-12)
+        assert -math.pi < phi <= math.pi
+        assert phi == pytest.approx(folded, abs=1e-12)
 
 
 class TestJsonInterchange:
@@ -358,6 +360,16 @@ class TestProjectorValidation:
             assert np.sum(np.abs(vec) ** 2) == pytest.approx(1.0, abs=1e-15)
         # circular components of |L> are (1, 0)
         assert np.allclose(named_projector("L").vector(CIRCULAR), [1, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: named_projector("X"), "unknown projector name 'X'; use one of H,V,D,A,L,R"),
+    (lambda: PathAmplitudes(-0.6, 0.8, 0.0), "amplitudes must be non-negative"),
+    (lambda: PathAmplitudes(0.6, 0.8, -math.pi), r"phi0 must lie in \(-pi, pi\], got -3.14159"),
+], ids=["projector-name-unknown", "path-amplitude-negative", "path-phase-at-minus-pi"])
+def test_out_of_range_value_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
 
 
 class TestNanRejected:

@@ -178,7 +178,9 @@ class TestCoincidenceHistogram:
         ({"bin_width": 0.0}, "bin_width must be positive"),
         ({"counts": [10.0]}, "a histogram needs at least 2 bins"),
         ({"counts": [10.0, -1.0, 10.0]}, "counts must be non-negative"),
-    ], ids=["width-zero", "one-bin", "count-negative"])
+        ({"t_start": 1.2e308, "bin_width": 0.5e308, "counts": [5.0, 5.0]}, "the last bin ends beyond the float range"),
+        ({"bin_width": np.float64(1e307)}, "the last bin ends beyond the float range"),
+    ], ids=["width-zero", "one-bin", "count-negative", "end-overflow", "end-overflow-numpy-width"])
     def test_out_of_range_value_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             CoincidenceHistogram(**{"bin_width": 0.25, "t_start": -5.0, "counts": np.full(140, 10.0), **kwargs})
@@ -602,7 +604,7 @@ class TestFitCovariance:
         for seed in range(3):
             hist = simulate_histogram(preset.model, preset.bin_width, preset.t_range, seed)
             fit = fit_single(hist, estimate_single_init(hist))
-            self.assert_sigmas_at_returned_point(hist, fit, timecorr._SINGLE_FIELDS)
+            self.assert_sigmas_at_returned_point(hist, fit, tuple(SinglePathParams.__dataclass_fields__))
 
     def test_background_held_at_zero(self):
         # the zero-background cases of TestFitSingle and TestFitBeats
@@ -610,7 +612,7 @@ class TestFitCovariance:
         hist = simulate_histogram(single, 1.0, (-20.0, 40.0), seed=2)
         fit = fit_single(hist, estimate_single_init(hist))
         assert fit.params.background == 0.0
-        self.assert_sigmas_at_returned_point(hist, fit, timecorr._SINGLE_FIELDS)
+        self.assert_sigmas_at_returned_point(hist, fit, tuple(SinglePathParams.__dataclass_fields__))
         preset = FIGURE_PRESETS["fig3"]
         beats = replace(preset.model, background=0.0)
         hist = simulate_histogram(beats, preset.bin_width, preset.t_range, seed=1)
@@ -631,11 +633,11 @@ class TestFitCovariance:
 
         matrices = []
         for preset in FIGURE_PRESETS.values():
+            fields = tuple(preset.model.__dataclass_fields__)
             if isinstance(preset.model, SinglePathParams):
-                free_sets = [timecorr._SINGLE_FIELDS, timecorr._SINGLE_FIELDS + ("offset",)]
+                free_sets = [fields, fields + ("offset",)]
             else:
-                free_sets = [("g0", "background"), ("g0", "background", "r", "phi", "delta"),
-                             timecorr._BEAT_FIELDS + ("offset",)]
+                free_sets = [("g0", "background"), ("g0", "background", "r", "phi", "delta"), fields + ("offset",)]
             for names in free_sets:
                 matrices.append(weighted(preset.model, preset.bin_width, preset.t_range, names))
         full = matrices[-1]
