@@ -351,14 +351,17 @@ def _cmd_fit_g2(args) -> int:
     model = _with_model_flags(args, start)
 
     if isinstance(model, timecorr.SinglePathParams):
+        if args.free is not None:
+            raise ValueError("--free is for the beats fit; the single-path fit frees every parameter")
         model_kind, free = "single", None
     else:
         model_kind = "beats"
-        free = tuple(name.strip() for name in args.free.split(",") if name.strip())
+        spec = "g0,background" if args.free is None else args.free
+        free = tuple(name.strip() for name in spec.split(",") if name.strip())
         try:
             timecorr._check_free(free)
         except ValueError as exc:
-            raise ValueError(f"--free {args.free!r}: {exc}") from None
+            raise ValueError(f"--free {spec!r}: {exc}") from None
     try:
         if free is None:
             fit = timecorr.fit_single(hist, model, fit_offset=args.fit_offset)
@@ -379,8 +382,8 @@ def _cmd_fit_g2(args) -> int:
 def _cmd_beat_params(args) -> int:
     from . import polstate
 
-    ket_x, inputs_x = _resolve_ket(args.ket_x, args.path_x, None)
-    ket_y, inputs_y = _resolve_ket(args.ket_y, args.path_y, None)
+    ket_x, inputs_x = _resolve_ket(args.ket_x, args.path_x or "X", None)
+    ket_y, inputs_y = _resolve_ket(args.ket_y, args.path_y or "Y", None)
     proj_s = _parse_projector("--proj-s", args.proj_s)
     proj_i = _parse_projector("--proj-i", args.proj_i)
     r, phi = polstate.beat_params(ket_x, ket_y, proj_s, proj_i)
@@ -464,19 +467,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist", required=True, help="histogram CSV file")
     p.add_argument("--preset", help="take model kind and fixed parameters from a preset")
     _add_model_flags(p)
-    p.add_argument("--free", default="g0,background",
-                   help="comma-separated free parameters for the beats fit "
-                        "(default: g0,background)")
+    p.add_argument("--free", help="comma-separated free parameters for the beats fit "
+                                  "(default: g0,background); an error with the single-path model")
     p.add_argument("--fit-offset", action="store_true",
                    help="also fit a time-axis offset (default: axis taken as exact)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fit_g2)
 
     p = sub.add_parser("beat-params", help="beat amplitude ratio and phase from projections")
-    p.add_argument("--ket-x", help="JSON ket of the reference path")
-    p.add_argument("--path-x", choices=("X", "Y"), default="X")
-    p.add_argument("--ket-y", help="JSON ket of the second path")
-    p.add_argument("--path-y", choices=("X", "Y"), default="Y")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--ket-x", help="JSON ket of the reference path")
+    group.add_argument("--path-x", choices=("X", "Y"), help="predicted state of the reference path (default X)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--ket-y", help="JSON ket of the second path")
+    group.add_argument("--path-y", choices=("X", "Y"), help="predicted state of the second path (default Y)")
     p.add_argument("--proj-s", required=True, help="signal projector: H,V,D,A,L,R or 'hre,him,vre,vim'")
     p.add_argument("--proj-i", required=True, help="idler projector")
     p.add_argument("--out")

@@ -2,9 +2,10 @@
 
 The single-state functions change a state to the linear basis once and call the
 parts of :func:`indicator_arrays` with a stack of one, so a state's values are
-the same either way.  Concurrence uses the spin-flip construction with the
-conjugation taken in the linear (H, V) basis; the result is basis-independent
-but pinning the convention keeps intermediate values reproducible.
+the same either way.  Concurrence takes the Wootters l_i as the singular values
+of X^T (sigma_y (x) sigma_y) X for the factor X = U sqrt(evals) of each state,
+with the transpose taken in the linear (H, V) basis; the result is
+basis-independent but pinning the convention keeps the values reproducible.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ __all__ = [
     "purity",
 ]
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # the i's cancel; kept real on purpose
+_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1]  # sigma_y (x) sigma_y: the i's cancel
 
 
 def _clip_dust(evals: np.ndarray) -> np.ndarray:
@@ -46,15 +46,12 @@ def _purities(mats: np.ndarray) -> np.ndarray:
 
 
 def _concurrences(linear: np.ndarray) -> np.ndarray:
-    """C = max(0, l1 - l2 - l3 - l4) of linear-basis matrices (B, 4, 4): the l_i
-    are the decreasing square roots of the eigenvalues of rho * rho_tilde, from
-    the numerically stable Hermitian form sqrt(rho) rho_tilde sqrt(rho)."""
-    rho_tilde = _YY @ linear.conj() @ _YY
+    """C = max(0, l1 - l2 - l3 - l4) of linear-basis matrices (B, 4, 4): for any
+    factor rho = X X^dagger the l_i are the decreasing singular values of the
+    symmetric X^T (sigma_y (x) sigma_y) X (Wootters 1998); X = U sqrt(evals)."""
     evals, evecs = np.linalg.eigh(linear)
-    root = (evecs * np.sqrt(_clip_dust(evals))[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-    inner = root @ rho_tilde @ root
-    inner = 0.5 * (inner + inner.conj().swapaxes(-1, -2))
-    lams = np.sqrt(_clip_dust(np.linalg.eigvalsh(inner)))[:, ::-1]
+    x = evecs * np.sqrt(_clip_dust(evals))[:, None, :]
+    lams = np.linalg.svd(x.swapaxes(-1, -2) @ _YY @ x, compute_uv=False)
     return np.maximum(0.0, lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
 
 

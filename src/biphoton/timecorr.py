@@ -469,6 +469,10 @@ def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult
     x, chi2, (norms, s, vt), steps, stop = _maximize(hist.counts, x0, lower, evaluate)
     sigmas = dict(zip(names, (np.sqrt(((vt.T / s**2) @ vt).diagonal()) / norms).tolist()))
     fitted = dict(zip(free, x.tolist()))
+    # At g0 = 0 the shape and offset leave the bin means alone, and a converged g0 whose
+    # move to 0 gains less than the gain tolerance (within sqrt(2 _GAIN_TOL) sigmas) is 0.
+    if stop is None and shape is None and fitted["g0"] <= math.sqrt(2.0 * _GAIN_TOL) * sigmas["g0"]:
+        raise RuntimeError("singular Jacobian: parameters not identifiable")
     if isinstance(model, BeatModelParams):  # the fit ran on g0^2
         fitted["g0"] = g0 = math.sqrt(max(fitted["g0"], 1e-30))
         sigmas["g0_squared"] = sigmas["g0"]

@@ -405,10 +405,19 @@ def _mle_seed(vectors: np.ndarray, rates: np.ndarray) -> np.ndarray:
 def _solve(vectors: np.ndarray, counts: np.ndarray, exposures: np.ndarray):
     """Linear-basis MLE states (B, 4, 4) and iteration counts (B,) for analyzer kets
     (n, 4), counts (B, n) and exposures (n,), solved together with the results of
-    stacks of one.  The first problem not converged raises ConvergenceError."""
+    stacks of one.  The first problem not converged raises ConvergenceError, and
+    exposures whose optimum the likelihood cannot represent raise ValueError."""
     x0 = _mle_seed(vectors, counts / exposures)
     if np.any(np.sum(counts, axis=1) <= 0):
         raise ValueError("all settings recorded zero counts")
+    # Settings exposed over 2^520 (sqrt(float max) * 2^8) times longer than the shortest with
+    # counts, if one state can miss them all, would be fitted probabilities whose likelihood
+    # curvature ~1/p^2 overflows; the largest such ratio seen to converge was 5e154.
+    shortest = float(exposures[np.any(counts > 0, axis=0)].min())
+    far = exposures > shortest * 2.0**520
+    if np.any(far) and np.linalg.matrix_rank(vectors[far]) < 4:
+        raise ValueError(f"exposure {float(exposures.max())!r} is over 2^520 times {shortest!r}, the shortest with "
+                         "counts, on settings one state can miss: the MLE cannot represent their probabilities")
     x, iterations, damping, grad_max, converged = _ascend(x0, _quadratic_forms(vectors, exposures), counts)
     mats = _rho_from_params(x)
     failed = np.flatnonzero(~converged)

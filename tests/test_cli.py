@@ -414,6 +414,15 @@ class TestG2Pipeline:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "histogram has no counts" in err
 
+    def test_flat_histogram_is_not_identifiable(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "simulate-g2", "--preset", "fig3", "--seed", "1", "--out", "hist.csv")
+        lines = (tmp_path / "hist.csv").read_text().splitlines()
+        rows = lines[:4] + [line.split(",")[0] + ",50" for line in lines[4:]]
+        (tmp_path / "hist.csv").write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "fit-g2", "--hist", "hist.csv", "--model", "single")
+        assert (code, out, err) == (1, "", "error: singular Jacobian: parameters not identifiable\n")
+
     def test_preset_g0_keeps_preset_starting_point(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-g2", "--preset", "fig2y", "--seed", "6",
@@ -468,7 +477,9 @@ class TestG2Pipeline:
         (["--preset", "fig3", "--r", "0", "--tau-rise", "7"], "--tau-rise"),
         (["--model", "single", "--tau-x", "3"], "--tau-x"),
         (["--preset", "fig2x", "--model", "single"], "--model"),
-    ], ids=["preset-lacks-flag", "model-lacks-flag", "preset-and-model"])
+        (["--model", "single", "--free", "g0,tau_x,nonsense"], "--free"),
+        (["--preset", "fig2x", "--free", "g0"], "--free"),
+    ], ids=["preset-lacks-flag", "model-lacks-flag", "preset-and-model", "single-free", "single-preset-free"])
     def test_fit_rejects_model_flag(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
         run(capsys, "simulate-g2", "--preset", "fig2x", "--seed", "6", "--out", "hist.csv")
@@ -511,6 +522,21 @@ class TestBeatParamsCommand:
     def test_missing_projectors_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["beat-params", "--path-x", "X"])
+
+    def test_paths_default_to_x_and_y(self, capsys):
+        projectors = ("--proj-s", "H", "--proj-i", "V")
+        default = run_json(capsys, "beat-params", *projectors)
+        explicit = run_json(capsys, "beat-params", "--path-x", "X", "--path-y", "Y", *projectors)
+        assert (default["r"], default["phi"]) == (explicit["r"], explicit["phi"])
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_ket_file_and_path_of_one_axis_rejected(self, capsys, tmp_path, axis):
+        run(capsys, "predict", "--path", "X", "--out", str(tmp_path / "x.json"))
+        with pytest.raises(SystemExit) as exc:
+            main(["beat-params", f"--ket-{axis}", str(tmp_path / "x.json"), f"--path-{axis}", "Y",
+                  "--proj-s", "H", "--proj-i", "V"])
+        assert exc.value.code == 2
+        assert f"argument --path-{axis}: not allowed with argument --ket-{axis}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["resample", "--counts", "c.csv", "--resamples", "3"],

@@ -1,5 +1,6 @@
-"""Entanglement indicators against independent pure-state oracles."""
+"""Entanglement indicators against independent pure-state oracles and mixed-state closed forms."""
 
+import cmath
 import math
 
 import numpy as np
@@ -246,3 +247,55 @@ class TestIndicatorArrays:
             assert values[name] == pytest.approx(value, abs=1e-12)
         assert bp.concurrence(circular) == pytest.approx(bp.concurrence(linear), abs=1e-12)
         assert bp.fidelity(circular, target) == pytest.approx(bp.fidelity(linear, target), abs=1e-12)
+
+
+def concurrence_alone_and_in_a_stack(mat: np.ndarray, seed: int) -> tuple[float, float]:
+    """The concurrence of a linear-basis state as a stack of one, and in the middle of
+    a stack with three random full-rank states."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    others = g @ g.conj().swapaxes(-1, -2)
+    others /= np.trace(others, axis1=-2, axis2=-1).real[:, None, None]
+    stack = np.concatenate([others[:2], mat[None], others[2:]])
+    alone = bp.entanglement.indicator_arrays(mat[None])["concurrence"][0]
+    return alone, bp.entanglement.indicator_arrays(stack)["concurrence"][2]
+
+
+unit = st.floats(0.0, 1.0)
+# Populations 0 or at least 1e-3 and coherences at their bound or at most 0.999 of
+# it keep every nonzero eigenvalue far above the 1e-14 below which _clip_dust
+# counts an eigenvalue as zero.
+population = st.just(0.0) | st.floats(1e-3, 1.0)
+coherence = st.just(1.0) | st.floats(0.0, 0.999)
+
+
+class TestMixedConcurrenceClosedForms:
+    @settings(deadline=None, max_examples=100)
+    @given(p=unit, seed=st.integers(0, 2**32 - 1))
+    def test_werner_states(self, p, seed):
+        # p |Phi+><Phi+| + (1 - p) I/4 has C = max(0, (3p - 1)/2)
+        phi_plus = np.zeros((4, 4), dtype=complex)
+        phi_plus[np.ix_([0, 3], [0, 3])] = 0.5
+        mat = p * phi_plus + (1.0 - p) * np.eye(4) / 4.0
+        for c in concurrence_alone_and_in_a_stack(mat, seed):
+            assert abs(c - max(0.0, (3.0 * p - 1.0) / 2.0)) <= 1e-13
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        diagonal=st.tuples(population, population, population, population).filter(any),
+        saturation=st.tuples(coherence, coherence),
+        phases=st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_x_states(self, diagonal, saturation, phases, seed):
+        # (HH, HV, VH, VV) populations a, b, c, d with coherences rho_14 = z and
+        # rho_23 = w, |z| <= sqrt(ad) and |w| <= sqrt(bc) (saturated: rank-deficient),
+        # have C = 2 max(0, |z| - sqrt(bc), |w| - sqrt(ad))
+        a, b, c, d = (x / sum(diagonal) for x in diagonal)
+        z = saturation[0] * math.sqrt(a * d) * cmath.exp(1j * phases[0])
+        w = saturation[1] * math.sqrt(b * c) * cmath.exp(1j * phases[1])
+        mat = np.diag([a, b, c, d]).astype(complex)
+        mat[0, 3], mat[3, 0], mat[1, 2], mat[2, 1] = z, z.conjugate(), w, w.conjugate()
+        expected = 2.0 * max(0.0, abs(z) - math.sqrt(b * c), abs(w) - math.sqrt(a * d))
+        for value in concurrence_alone_and_in_a_stack(mat, seed):
+            assert abs(value - expected) <= 1e-13

@@ -364,6 +364,17 @@ class TestFitSingle:
         with pytest.raises(RuntimeError, match="singular Jacobian: parameters not identifiable"):
             fit_single(flat, init)
 
+    @pytest.mark.parametrize("level", [1.0, 50.0, 1e4])
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_exactly_flat_histogram_is_degenerate(self, name, level):
+        # every bin equal: the fit stops with g0 within rounding of 0, where the
+        # shape leaves the bin means alone, so the verdict is the noisy one above
+        preset = FIGURE_PRESETS[name]
+        grid = simulate_histogram(preset.model, preset.bin_width, preset.t_range, seed=1)
+        flat = CoincidenceHistogram(grid.bin_width, grid.t_start, np.full(grid.n_bins, level))
+        with pytest.raises(RuntimeError, match="singular Jacobian: parameters not identifiable"):
+            fit_single(flat, estimate_single_init(flat))
+
     def test_histogram_without_counts_is_degenerate(self):
         empty = CoincidenceHistogram(1.0, -20.0, np.zeros(140))
         init = SinglePathParams(g0=100.0, tau_rise=3.0, tau_decay=6.0)

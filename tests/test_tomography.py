@@ -1,6 +1,7 @@
 """Tomography: settings, simulation, linear inversion, MLE, and bootstrap."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -692,13 +693,30 @@ class TestExposureUnit:
         assert np.max(np.abs(scaled.rho.matrix - base.rho.matrix)) <= 1e-12
         assert scaled.log_likelihood == pytest.approx(base.log_likelihood, rel=1e-12, abs=0.0)
 
-    def test_exposures_1e308_apart_fail_to_converge_without_warnings(self, rho_x):
+    @pytest.mark.parametrize("exposure", [1e157, 1e200, 1e308])
+    def test_exposures_far_apart_rejected_without_warnings(self, rho_x, exposure):
+        # one setting exposed past 2^520 times the others: the MLE would drive its
+        # probability towards 1/exposure, past what the likelihood can represent
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e3, 3)
-        records[0] = CountsRecord(records[0].setting, records[0].counts, 1e308)
+        records[0] = CountsRecord(records[0].setting, records[0].counts, exposure)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="MLE did not converge"):
+            message = f"exposure {exposure!r} is over 2^520 times 1.0, the shortest with counts"
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
                 reconstruct_mle(records)
+            with pytest.raises(ValueError, match="^exposure "):
+                resample_uncertainties(records, 2, seed=1)
+
+    @pytest.mark.parametrize("long, exposure", [
+        (range(1), 1e150),  # one setting 1e150 times longer: still representable
+        (range(1, 36), 1e300),  # one setting 1e300 times shorter
+        (range(16), 1e300),  # 16 settings whose kets span the states, 1e300 times longer
+    ])
+    def test_exposures_far_apart_fitted_where_representable(self, rho_x, long, exposure):
+        records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e3, 3)
+        result = reconstruct_mle([CountsRecord(r.setting, r.counts, exposure if i in long else 1.0)
+                                  for i, r in enumerate(records)])
+        assert np.isfinite(result.log_likelihood)
 
 
 class TestLogLikelihood:
