@@ -242,11 +242,14 @@ _E[np.arange(5, 16, 2), _TRIL[0], _TRIL[1]] = 1j
 # active problem (its current point if it has no ascent step), unless none has
 # one; a problem leaves the stack when it stops.  The damping lambda starts at
 # _DAMPING; it is divided by 10 (down to _DAMPING_MIN) after an accepted step
-# and multiplied by 10 after a rejected one.  A step is accepted when ll does
-# not fall by more than its rounding, _ROUNDING |ll|.  The ascent stops at an
-# accepted step with lambda at most _UNDAMPED that gains less than _GAIN_TOL
-# |ll|, and fails once lambda exceeds _DAMPING_MAX or _MAX_ITERATIONS steps run out.
+# and multiplied by _REJECTED after a rejected one: x10 would make an accepted
+# and a rejected step a 2-cycle, which a climb can spend most of its steps in.
+# A step is accepted when ll does not fall by more than its rounding, _ROUNDING
+# |ll|.  The ascent stops at an accepted step with lambda at most _UNDAMPED that
+# gains less than _GAIN_TOL |ll|, and fails once lambda exceeds _DAMPING_MAX or
+# _MAX_ITERATIONS steps run out.
 _DAMPING = 1e-3
+_REJECTED = 7.0  # an accepted and a rejected step lower lambda to 0.7 of itself
 _DAMPING_MIN = 1e-12
 _UNDAMPED = 1e-6
 _DAMPING_MAX = 1e16
@@ -357,7 +360,7 @@ def _ascend(x: np.ndarray, forms: np.ndarray, counts: np.ndarray):
                 ll = np.where(accept, ll_trial, ll)
                 grad = np.where(accept[:, None], grad_trial, grad)
                 hess = np.where(accept[:, None, None], hess_trial, hess)
-        damping = np.where(accept, np.maximum(damping / 10.0, _DAMPING_MIN), damping * 10.0)
+        damping = np.where(accept, np.maximum(damping / 10.0, _DAMPING_MIN), damping * _REJECTED)
         stop = done | (iterations >= _MAX_ITERATIONS) | (damping > _DAMPING_MAX)
         if np.count_nonzero(stop):
             j = live[stop]
@@ -446,17 +449,17 @@ def reconstruct_mle(records: list[CountsRecord]) -> TomographyResult:
     """Maximum-likelihood state reconstruction, positive semidefinite by construction.
 
     The state is parameterized as T^dagger T / Tr[T^dagger T] with a
-    lower-triangular T (16 real parameters) and ascended deterministically
-    from the linear-inversion seed by damped Newton steps on the exact
-    Hessian.  A Cholesky test of the damped system decides whether a step
-    is an ascent step, one linear solve gives it, and the likelihood is
-    evaluated with its derivatives at the trial point, once per step with
-    an ascent step.  The ascent counts as converged at a nearly undamped step that
-    gains less than 1e-13 of the log-likelihood; running out of
-    10,000 steps (``iterations`` counts every step tried, accepted or
-    not) or of damping raises :class:`ConvergenceError`,
-    which carries the best iterate and names the iteration count, the final
-    damping and the gradient max-norm.
+    lower-triangular T (16 real parameters) and ascended deterministically from the
+    linear-inversion seed by damped Newton steps on the exact Hessian.  A Cholesky
+    test of the damped system decides whether a step is an ascent step, one linear
+    solve gives it, and the likelihood is evaluated with its derivatives at the
+    trial point, once per step with an ascent step.  The damping is divided by 10
+    after an accepted step and multiplied by 7, not 10, after a rejected one, so
+    that the pair is not a 2-cycle.  The ascent counts as converged at a nearly
+    undamped step that gains less than 1e-13 of the log-likelihood; running out of
+    10,000 steps (``iterations`` counts every step tried, accepted or not) or of
+    damping raises :class:`ConvergenceError`, which carries the best iterate and
+    names the iteration count, the final damping and the gradient max-norm.
     """
     vectors, counts, exposures = _arrays(records)
     mats, iterations = _solve(vectors, counts[None], exposures)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
-from hypothesis import given, settings as hypothesis_settings, strategies as st
+from hypothesis import assume, given, settings as hypothesis_settings, strategies as st
 
 import biphoton as bp
 from biphoton.polstate import (
@@ -484,6 +484,40 @@ class TestReconstructMLE:
         assert result.log_likelihood >= 8429133.40110831
         assert result.log_likelihood == log_likelihood(result.rho, records)
 
+    def test_accept_reject_pairs_lower_the_damping(self):
+        # A bootstrap redraw of path Y at minimal16, 1e3 counts per setting.  Were the
+        # damping multiplied by 10 after a rejected step, steps 9-53 would alternate
+        # between an accepted step at 1e-3 and a rejected one at 1e-4, 64 steps in all.
+        counts = [70, 444, 62, 423, 81, 93, 230, 226, 411, 87, 96, 285, 254, 61, 76, 148]
+        records = [CountsRecord(s, n, 1.0) for s, n in zip(standard_settings("minimal16"), counts)]
+        result = reconstruct_mle(records)
+        assert result.iterations <= 40
+        assert result.log_likelihood >= 13659.474859090937 - 1e-9
+
+    @hypothesis_settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 4),
+        kind=st.sampled_from(["minimal16", "overcomplete36", "random"]),
+        unit_exposures=st.booleans(),
+        log_n=st.floats(1.0, 6.0),
+    )
+    def test_reaches_the_optimum(self, seed, rank, kind, unit_exposures, log_n):
+        # the maximum is at least the likelihood of the state the counts were drawn from
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix4(random_state(rng, rank), LINEAR)
+        settings = (random_analyzers(rng, int(rng.integers(16, 37))) if kind == "random"
+                    else standard_settings(kind))
+        exposures = np.ones(len(settings)) if unit_exposures else rng.uniform(0.5, 2.0, len(settings))
+        counts = rng.poisson(10.0**log_n * exposures * expected_probabilities(rho, settings))
+        assume(counts.any())
+        records = [CountsRecord(s, int(n), e) for s, n, e in zip(settings, counts, exposures)]
+        result = reconstruct_mle(records)
+        truth = log_likelihood(rho, records)
+        assert result.log_likelihood >= truth - 1e-9 * abs(truth)
+        assert min_eigenvalue(result.rho.matrix) >= 0.0
+        assert abs(np.trace(result.rho.matrix) - 1.0) <= 1e-12
+
     def test_iteration_cap_raises_convergence_error(self, rho_x, monkeypatch):
         records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e4, 3)
         converged = reconstruct_mle(records)
@@ -706,6 +740,13 @@ class TestExposureUnit:
                 reconstruct_mle(records)
             with pytest.raises(ValueError, match="^exposure "):
                 resample_uncertainties(records, 2, seed=1)
+
+    def test_long_exposure_climbs_in_few_steps(self, rho_x):
+        # The ascent walks the long setting's probability down towards 1e-100; were the
+        # damping multiplied by 10 after a rejected step, that would take 1,915 steps.
+        records = simulate_counts(rho_x, standard_settings("overcomplete36"), 1e3, 3)
+        records[0] = CountsRecord(records[0].setting, records[0].counts, 1e100)
+        assert reconstruct_mle(records).iterations <= 600
 
     @pytest.mark.parametrize("long, exposure", [
         (range(1), 1e150),  # one setting 1e150 times longer: still representable
