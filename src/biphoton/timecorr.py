@@ -389,25 +389,12 @@ def _maximize(counts: np.ndarray, x0, lower: np.ndarray, means):
     return x, deviance, (norms, s, vt) if isinstance(free, slice) else _scaled_svd(weighted), steps, stop
 
 
-def _lower_decile(values: np.ndarray) -> float:
-    """``np.percentile(values, 10)`` of 2 or more values to the bit, by numpy's linear rule.
-
-    np.percentile imports numpy.ma (through np.unique) on its first call,
-    which a cold process pays for in full.
-    """
-    ordered = np.sort(values)
-    position = (ordered.size - 1) * 0.1
-    below = int(position)
-    a, b = float(ordered[below]), float(ordered[below + 1])
-    t = position - below
-    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
-
-
 def estimate_single_init(hist: CoincidenceHistogram) -> SinglePathParams:
-    """Moment-based starting point for the single-path fit."""
+    """Moment-based start for the single-path fit; the background is the floor((n - 1)/10)-th smallest count."""
     counts = hist.counts
     centers = hist.bin_starts + 0.5 * hist.bin_width
-    background = _lower_decile(counts)
+    # One order statistic, not np.percentile, which imports numpy.ma on its first call.
+    background = float(np.sort(counts)[(counts.size - 1) // 10])
     peak_idx = int(np.argmax(counts))
     g0 = max(float(counts[peak_idx]) - background, 1.0)
     excess = np.clip(counts - background, 0.0, None)
@@ -425,7 +412,7 @@ def estimate_single_init(hist: CoincidenceHistogram) -> SinglePathParams:
         g0=g0,
         tau_rise=max(tau_rise, 0.1 * hist.bin_width),
         tau_decay=max(tau_decay, 0.1 * hist.bin_width),
-        background=max(background, 0.0),
+        background=background,
     )
 
 
@@ -469,9 +456,9 @@ def _fit(hist: CoincidenceHistogram, model, free, fit_offset: bool) -> FitResult
     x, chi2, (norms, s, vt), steps, stop = _maximize(hist.counts, x0, lower, evaluate)
     sigmas = dict(zip(names, (np.sqrt(((vt.T / s**2) @ vt).diagonal()) / norms).tolist()))
     fitted = dict(zip(free, x.tolist()))
-    # At g0 = 0 the shape and offset leave the bin means alone, and a converged g0 whose
-    # move to 0 gains less than the gain tolerance (within sqrt(2 _GAIN_TOL) sigmas) is 0.
-    if stop is None and shape is None and fitted["g0"] <= math.sqrt(2.0 * _GAIN_TOL) * sigmas["g0"]:
+    # At g0 = 0 the shape and offset leave the bin means alone, so a g0 whose move to 0 gains less
+    # than _GAIN_TOL (within sqrt(2 _GAIN_TOL) sigmas) is 0, converged or stalled (as on flat data).
+    if shape is None and fitted["g0"] <= math.sqrt(2.0 * _GAIN_TOL) * sigmas["g0"]:
         raise RuntimeError("singular Jacobian: parameters not identifiable")
     if isinstance(model, BeatModelParams):  # the fit ran on g0^2
         fitted["g0"] = g0 = math.sqrt(max(fitted["g0"], 1e-30))
